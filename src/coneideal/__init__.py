@@ -56,6 +56,7 @@ from .walks import (
     shift,
     validate_walk,
     Walk,
+    walk_from_corners,
     walk_leq,
     walk_of,
 )

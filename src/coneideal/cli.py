@@ -18,7 +18,6 @@ from .codes import (
     agl_generators,
     build_code,
     in_sum_zero_space,
-    is_invariant_ideal,
     preimage_count,
     preimage_list,
     verify_invariance,
@@ -123,8 +122,8 @@ def cmd_defining_set(args: argparse.Namespace) -> int:
         ideal = _load_ideal(args.ideal)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(EXIT_BAD_PARAMS, f"cannot parse ideal file: {exc}")
-    if not is_invariant_ideal(ideal, params):
-        reason = violated_condition(ideal, params)
+    reason = violated_condition(ideal, params)
+    if reason is not None:
         return _fail(EXIT_NOT_IDEAL, f"input is not an invariant ideal: {reason}")
     count = preimage_count(ideal, params)
     out = _open_emit(args)

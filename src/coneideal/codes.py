@@ -80,30 +80,9 @@ def preimage_list(
     return [int(v) for v in values[mask]]
 
 
-def is_invariant_ideal(ideal: frozenset[Point3], params: Params) -> bool:
-    """Downward closed in the box and, for r = 1, rotation-fixed."""
-    n, p = params.n, params.p
-    for u in ideal:
-        if not all(0 <= c <= n for c in u):
-            return False
-    if params.r == 1 and any(rotate(u) not in ideal for u in ideal):
-        return False
-    box = [
-        (x, y, z)
-        for x in range(n + 1)
-        for y in range(n + 1)
-        for z in range(n + 1)
-    ]
-    for w in box:
-        if w in ideal:
-            continue
-        if any(precedes3(w, u, p) for u in ideal):
-            return False
-    return True
-
-
 def violated_condition(ideal: frozenset[Point3], params: Params) -> Optional[str]:
-    """Human-readable reason a set fails :func:`is_invariant_ideal`."""
+    """Why a set is not an invariant ideal (downward closed in the box and,
+    for r = 1, rotation-fixed), or None when it is one."""
     n, p = params.n, params.p
     for u in ideal:
         if not all(0 <= c <= n for c in u):
@@ -112,14 +91,21 @@ def violated_condition(ideal: frozenset[Point3], params: Params) -> Optional[str
         for u in ideal:
             if rotate(u) not in ideal:
                 return f"rotation image of {u} missing"
-    for u in ideal:
-        for x in range(n + 1):
-            for y in range(n + 1):
-                for z in range(n + 1):
-                    w = (x, y, z)
-                    if w not in ideal and precedes3(w, u, p):
+    for x in range(n + 1):
+        for y in range(n + 1):
+            for z in range(n + 1):
+                w = (x, y, z)
+                if w in ideal:
+                    continue
+                for u in ideal:
+                    if precedes3(w, u, p):
                         return f"{w} below {u} but missing"
     return None
+
+
+def is_invariant_ideal(ideal: frozenset[Point3], params: Params) -> bool:
+    """Downward closed in the box and, for r = 1, rotation-fixed."""
+    return violated_condition(ideal, params) is None
 
 
 @dataclass
@@ -222,8 +208,9 @@ def build_code(
     with_list: bool = True,
 ) -> CodeSpec:
     """Materialize the power-sum constraint system of an invariant ideal."""
-    if not is_invariant_ideal(ideal, params):
-        raise NotInvariant(violated_condition(ideal, params) or "not invariant")
+    reason = violated_condition(ideal, params)
+    if reason is not None:
+        raise NotInvariant(reason)
     q = params.p**params.m
     if q > cap_field:
         raise CapExceeded(f"field size {q} exceeds cap {cap_field}")
@@ -243,39 +230,6 @@ def build_code(
         rref=rref,
         pivots=pivots,
     )
-
-
-def code_dimension(spec: CodeSpec) -> int:
-    return spec.dimension
-
-
-def kernel_basis(spec: CodeSpec) -> list[list[int]]:
-    """Basis codewords of the kernel over GF(p^r), from the echelon form."""
-    fld = spec.fld
-    ncols = len(spec.element_order)
-    pivot_set = set(spec.pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for row, col in zip(spec.rref, spec.pivots):
-            vec[col] = fld.neg(row[f])
-        basis.append(vec)
-    return basis
-
-
-def word_in_code(spec: CodeSpec, word: list[int]) -> bool:
-    """Evaluate every expanded constraint on an explicit word."""
-    fld = spec.fld
-    for row in spec.rref:
-        acc = 0
-        for a, b in zip(row, word):
-            if a and b:
-                acc = fld.add(acc, fld.mul(a, b))
-        if acc:
-            return False
-    return True
 
 
 def in_sum_zero_space(spec: CodeSpec) -> bool:
@@ -349,26 +303,6 @@ def agl_generators(
     return gens
 
 
-def group_closure_order(gens: list[tuple[int, ...]], limit: int = 10**6) -> int:
-    """Size of the permutation group generated (breadth-first closure)."""
-    n = len(gens[0])
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                comp = tuple(h[i] for i in g)
-                if comp not in seen:
-                    seen.add(comp)
-                    nxt.append(comp)
-                    if len(seen) > limit:
-                        raise CapExceeded("group closure beyond limit")
-        frontier = nxt
-    return len(seen)
-
-
 def verify_invariance(spec: CodeSpec, gens: list[tuple[int, ...]]) -> bool:
     """Whether the code is stable under every generator permutation.
 
@@ -384,22 +318,4 @@ def verify_invariance(spec: CodeSpec, gens: list[tuple[int, ...]]) -> bool:
             for row in _expand_rows(fld, [pulled], spec.params.r):
                 if any(_reduce_against(fld, spec.rref, spec.pivots, row)):
                     return False
-    return True
-
-
-def verify_invariance_on_words(
-    spec: CodeSpec, gens: list[tuple[int, ...]]
-) -> bool:
-    """Codeword-level variant: permute each kernel basis word and re-check
-    membership by constraint evaluation (small fields only)."""
-    if len(spec.element_order) > 2**10:
-        raise CapExceeded("codeword-level check capped to small fields")
-    basis = kernel_basis(spec)
-    for perm in gens:
-        for word in basis:
-            permuted = [0] * len(word)
-            for i, v in enumerate(word):
-                permuted[perm[i]] = v
-            if not word_in_code(spec, permuted):
-                return False
     return True

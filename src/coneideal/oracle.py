@@ -1,20 +1,42 @@
-"""Brute-force ground truth for ideals, extensions and layer filtering.
+"""Brute-force ground truth for ideals, extensions, layer filtering, the
+order predicates and the codes.
 
-Everything here works on explicit point sets and the raw order predicates;
-nothing routes through the walk calculus, so these functions can referee it.
-The down-set enumerator recurses over a linear extension (coordinate sum
-first, which is strictly monotone for the cone order) and therefore costs
-O(number of ideals) rather than O(2^points).
+The down-set, extension and layer referees work on explicit point sets and
+the raw order predicates; nothing there routes through the walk calculus, so
+they can referee it.  The down-set enumerator recurses over a linear
+extension (coordinate sum first, which is strictly monotone for the cone
+order) and therefore costs O(number of ideals) rather than O(2^points).
+
+The remaining referees are alternative forms that tests compare against the
+fast paths: the generic-e, cross-section and rational-anchor forms of the
+order (:func:`precedes_generic`, :func:`section_precedes`,
+:func:`rational_shift_covers`); :func:`equivalent_transport_conditions`,
+whose last three conditions are the walk-calculus forms checked against the
+first three on point sets; and the codeword-level invariance check
+(:func:`verify_invariance_on_words` with :func:`kernel_basis`,
+:func:`word_in_code`) and group order (:func:`group_closure_order`) for the
+codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Literal
 
-from .errors import TooLarge
+from .codes import CodeSpec
+from .errors import CapExceeded, InconsistentInput, TooLarge
 from .order import Params, Point2, Point3, precedes2, precedes3, rotate
-from .walks import Rect
+from .walks import (
+    IdealSet2,
+    Rect,
+    highest_extension,
+    lowest_extension,
+    restrict,
+    shift,
+    walk_leq,
+    walk_of,
+)
 
 MAX_POSET = 80
 
@@ -309,3 +331,182 @@ def brute_layer_candidates(
         ):
             out.append(cand)
     return out
+
+
+# -- alternative forms of the order --
+
+
+def circulant_row_image(d: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Row vector d times the e x e circulant with entries p^((i-j) mod e)."""
+    e = len(d)
+    return tuple(
+        sum(d[i] * p ** ((i - j) % e) for i in range(e)) for j in range(e)
+    )
+
+
+def precedes_generic(u: tuple[int, ...], v: tuple[int, ...], p: int) -> bool:
+    """Generic-e variant of :func:`precedes3` (kept for e = 2 regressions)."""
+    d = tuple(a - b for a, b in zip(u, v))
+    return all(c <= 0 for c in circulant_row_image(d, p))
+
+
+def cone_slice_anchor(c: int, p: int) -> tuple[Fraction, Fraction]:
+    """Anchor of the z = c cross-section of the 3D cone, as a translate of D.
+
+    The section is D shifted by (0, -cp) for c >= 0 and by (-c/p, 0) for
+    c < 0.  The rational anchor is returned exactly; membership tests should
+    go through :func:`in_slice` which clears the denominator.
+    """
+    if c >= 0:
+        return (Fraction(0), Fraction(-c * p))
+    return (Fraction(-c, p), Fraction(0))
+
+
+def in_slice(w: Point2, c: int, p: int) -> bool:
+    """Whether w lies in the z = c cross-section anchor + D (integer test)."""
+    x, y = w
+    if c >= 0:
+        # (x, y + c*p) in D
+        return x + p * (y + c * p) <= 0 and p * p * x + (y + c * p) <= 0
+    # (x + c/p, y) in D, multiplied through by p where needed
+    return p * x + c + p * p * y <= 0 and p * p * x + p * c + y <= 0
+
+
+def rational_shift_covers(c: int, p: int) -> tuple[Point2, Point2]:
+    """Two integer translates of D covering the lattice points of c(1/p,0)+D.
+
+    With c = a*p + b, 0 <= b <= p-1, the integer points of the rationally
+    shifted cone equal those of the union of D + (a, 0) and
+    D + (a+1, -p^2 + p*b).
+    """
+    a, b = divmod(c, p)
+    return ((a, 0), (a + 1, -p * p + p * b))
+
+
+def section_precedes(u: Point3, v: Point3, p: int) -> bool:
+    """Cross-section form of :func:`precedes3` via the planar cone D.
+
+    Equivalent to precedes3 by construction; exposed for coherence tests.
+    """
+    dz = u[2] - v[2]
+    return in_slice((u[0] - v[0], u[1] - v[1]), dz, p)
+
+
+# -- the transport conditions, on point sets and on walks --
+
+
+def equivalent_transport_conditions(
+    j_set: IdealSet2, k_set: IdealSet2, a: int, b: int, p: int
+) -> tuple[bool, bool, bool, bool, bool, bool]:
+    """Six independent forms of "(ideal J) + cone + (a, -b) lands inside K".
+
+    Conditions 1-3 are evaluated on explicit point sets (with the enlarged
+    host and its largest extension computed by raw order tests); conditions
+    4-6 are their boundary-walk counterparts.  All six agree for ideals of a
+    common host and a, b >= 0; exposed for property testing.
+    """
+    u = j_set.host
+    if k_set.host != u:
+        raise InconsistentInput("both ideals must share a host")
+    big = Rect(u.a, u.b + a, u.c - b, u.d)
+    window = u.shifted(a, -b)
+    w_walk = walk_of(j_set, p)
+    j_max = w_walk.points
+
+    def reaches(w: tuple[int, int]) -> bool:
+        return any(
+            precedes2(w, (ux + a, uy - b), p) for (ux, uy) in j_max
+        )
+
+    # largest ideal of big restricting to K, by raw exclusion
+    k_missing = [q for q in u.points() if q not in k_set.points]
+    k_bar = frozenset(
+        w
+        for w in big.points()
+        if not any(precedes2(q, w, p) for q in k_missing)
+    )
+
+    cond1 = not any(
+        reaches(w) for w in u.points() if w not in k_set.points
+    )
+    cond2 = all((x + a, y - b) in k_bar for (x, y) in j_set.points)
+    cond3 = not any(reaches(w) for w in big.points() if w not in k_bar)
+
+    z_walk = walk_of(k_set, p)
+    moved = shift(w_walk, a, -b)
+    low_ext = lowest_extension(moved, big)
+    high_ext = highest_extension(z_walk, big)
+    cond4 = walk_leq(restrict(low_ext, u), z_walk)
+    cond5 = walk_leq(moved, restrict(high_ext, window))
+    cond6 = walk_leq(low_ext, high_ext)
+    return (cond1, cond2, cond3, cond4, cond5, cond6)
+
+
+# -- codeword-level checks of the codes --
+
+
+def kernel_basis(spec: CodeSpec) -> list[list[int]]:
+    """Basis codewords of the kernel over GF(p^r), from the echelon form."""
+    fld = spec.fld
+    ncols = len(spec.element_order)
+    pivot_set = set(spec.pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = 1
+        for row, col in zip(spec.rref, spec.pivots):
+            vec[col] = fld.neg(row[f])
+        basis.append(vec)
+    return basis
+
+
+def word_in_code(spec: CodeSpec, word: list[int]) -> bool:
+    """Evaluate every expanded constraint on an explicit word."""
+    fld = spec.fld
+    for row in spec.rref:
+        acc = 0
+        for a, b in zip(row, word):
+            if a and b:
+                acc = fld.add(acc, fld.mul(a, b))
+        if acc:
+            return False
+    return True
+
+
+def group_closure_order(gens: list[tuple[int, ...]], limit: int = 10**6) -> int:
+    """Size of the permutation group generated (breadth-first closure)."""
+    n = len(gens[0])
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                comp = tuple(h[i] for i in g)
+                if comp not in seen:
+                    seen.add(comp)
+                    nxt.append(comp)
+                    if len(seen) > limit:
+                        raise CapExceeded("group closure beyond limit")
+        frontier = nxt
+    return len(seen)
+
+
+def verify_invariance_on_words(
+    spec: CodeSpec, gens: list[tuple[int, ...]]
+) -> bool:
+    """Codeword-level variant: permute each kernel basis word and re-check
+    membership by constraint evaluation (small fields only)."""
+    if len(spec.element_order) > 2**10:
+        raise CapExceeded("codeword-level check capped to small fields")
+    basis = kernel_basis(spec)
+    for perm in gens:
+        for word in basis:
+            permuted = [0] * len(word)
+            for i, v in enumerate(word):
+                permuted[perm[i]] = v
+            if not word_in_code(spec, permuted):
+                return False
+    return True

@@ -7,14 +7,14 @@ plane parallel to the xy-plane gives a planar cone
     D = {(x, y) : x + p*y <= 0,  p^2*x + y <= 0},
 
 and all 2D work in this package happens in the order defined by D.  Every
-predicate here is integer-only; rational cone anchors are handled by clearing
-denominators inside the comparison.
+predicate here is integer-only.  The generic-e, cross-section and rational
+anchor forms of the order, which only tests compare against, live in
+:mod:`coneideal.oracle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import OutOfRange
 
@@ -76,14 +76,6 @@ class Params:
         return (self.m // 3) * (self.p - 1)
 
 
-def circulant_row_image(d: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Row vector d times the e x e circulant with entries p^((i-j) mod e)."""
-    e = len(d)
-    return tuple(
-        sum(d[i] * p ** ((i - j) % e) for i in range(e)) for j in range(e)
-    )
-
-
 def precedes3(u: Point3, v: Point3, p: int) -> bool:
     """Whether u precedes v in the 3D cone order for the prime p."""
     d = (u[0] - v[0], u[1] - v[1], u[2] - v[2])
@@ -96,12 +88,6 @@ def precedes3(u: Point3, v: Point3, p: int) -> bool:
     )
 
 
-def precedes_generic(u: tuple[int, ...], v: tuple[int, ...], p: int) -> bool:
-    """Generic-e variant of :func:`precedes3` (kept for e = 2 regressions)."""
-    d = tuple(a - b for a, b in zip(u, v))
-    return all(c <= 0 for c in circulant_row_image(d, p))
-
-
 def precedes2(u: Point2, v: Point2, p: int) -> bool:
     """Whether u precedes v in the planar order: u - v lies in the cone D."""
     dx = u[0] - v[0]
@@ -112,45 +98,3 @@ def precedes2(u: Point2, v: Point2, p: int) -> bool:
 def rotate(u: Point3) -> Point3:
     """Cyclic coordinate rotation (x, y, z) -> (y, z, x); order three."""
     return (u[1], u[2], u[0])
-
-
-def cone_slice_anchor(c: int, p: int) -> tuple[Fraction, Fraction]:
-    """Anchor of the z = c cross-section of the 3D cone, as a translate of D.
-
-    The section is D shifted by (0, -cp) for c >= 0 and by (-c/p, 0) for
-    c < 0.  The rational anchor is returned exactly; membership tests should
-    go through :func:`in_slice` which clears the denominator.
-    """
-    if c >= 0:
-        return (Fraction(0), Fraction(-c * p))
-    return (Fraction(-c, p), Fraction(0))
-
-
-def in_slice(w: Point2, c: int, p: int) -> bool:
-    """Whether w lies in the z = c cross-section anchor + D (integer test)."""
-    x, y = w
-    if c >= 0:
-        # (x, y + c*p) in D
-        return x + p * (y + c * p) <= 0 and p * p * x + (y + c * p) <= 0
-    # (x + c/p, y) in D, multiplied through by p where needed
-    return p * x + c + p * p * y <= 0 and p * p * x + p * c + y <= 0
-
-
-def rational_shift_covers(c: int, p: int) -> tuple[Point2, Point2]:
-    """Two integer translates of D covering the lattice points of c(1/p,0)+D.
-
-    With c = a*p + b, 0 <= b <= p-1, the integer points of the rationally
-    shifted cone equal those of the union of D + (a, 0) and
-    D + (a+1, -p^2 + p*b).
-    """
-    a, b = divmod(c, p)
-    return ((a, 0), (a + 1, -p * p + p * b))
-
-
-def section_precedes(u: Point3, v: Point3, p: int) -> bool:
-    """Cross-section form of :func:`precedes3` via the planar cone D.
-
-    Equivalent to precedes3 by construction; exposed for coherence tests.
-    """
-    dz = u[2] - v[2]
-    return in_slice((u[0] - v[0], u[1] - v[1]), dz, p)

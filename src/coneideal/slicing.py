@@ -20,12 +20,12 @@ lexicographic order, which makes the output stream canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Optional
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Literal, Optional, TypeVar
 
 from .errors import BoundsInverted, InconsistentInput
 from .order import Params
 from .walks import (
-    IdealSet2,
     Rect,
     Walk,
     empty_walk,
@@ -33,13 +33,10 @@ from .walks import (
     highest_extension,
     ideal_transport,
     join_all,
-    lowest_extension,
     meet_all,
     restrict,
     shift,
-    walk_from_heights,
     walk_leq,
-    walk_of,
 )
 
 Direction = Literal["backward", "forward"]
@@ -57,9 +54,6 @@ class LayerSequence:
     direction: Direction
     params: Params
     walks: dict[int, Walk] = field(default_factory=dict)
-
-    def assigned(self) -> list[int]:
-        return sorted(self.walks)
 
     def walk(self, i: int) -> Walk:
         return self.walks[i]
@@ -223,17 +217,23 @@ def _profile_choices(
     return range(vmin, vmax + 1)
 
 
-def _iter_profiles(
-    lo: tuple[int, ...], hi: tuple[int, ...], host: Rect, p: int
-) -> Iterator[tuple[int, ...]]:
-    """All closed height profiles between lo and hi, lexicographically."""
+def enumerate_interval(lower: Walk, upper: Walk) -> Iterator[Walk]:
+    """Every walk between lower and upper, in column-height lex order.
+
+    Each column choice keeps the profile closed, so the walks are built
+    from their heights without re-validation.
+    """
+    if not walk_leq(lower, upper):
+        raise BoundsInverted(f"heights {lower.hs} above {upper.hs}")
+    host, p = lower.host, lower.p
+    lo, hi = lower.hs, upper.hs
     width = host.width
     c, d = host.c, host.d
     acc: list[int] = []
 
-    def rec(x: int) -> Iterator[tuple[int, ...]]:
+    def rec(x: int) -> Iterator[Walk]:
         if x == width:
-            yield tuple(acc)
+            yield Walk(host, p, tuple(acc))
             return
         prev = acc[x - 1] if x > 0 else None
         back = acc[x - p] if x >= p else None
@@ -244,24 +244,15 @@ def _iter_profiles(
             yield from rec(x + 1)
             acc.pop()
 
-    return rec(0)
-
-
-def enumerate_interval(lower: Walk, upper: Walk) -> Iterator[Walk]:
-    """Every walk between lower and upper, in column-height lex order."""
-    if not walk_leq(lower, upper):
-        raise BoundsInverted(f"{lower.points} above {upper.points}")
-    host, p = lower.host, lower.p
-    for hs in _iter_profiles(lower.heights(), upper.heights(), host, p):
-        yield walk_from_heights(hs, host, p)
+    yield from rec(0)
 
 
 def count_interval(lower: Walk, upper: Walk) -> int:
     """Number of walks between lower and upper (memoized column DP)."""
     if not walk_leq(lower, upper):
-        raise BoundsInverted(f"{lower.points} above {upper.points}")
+        raise BoundsInverted(f"heights {lower.hs} above {upper.hs}")
     host, p = lower.host, lower.p
-    lo, hi = lower.heights(), upper.heights()
+    lo, hi = lower.hs, upper.hs
     width = host.width
     c, d = host.c, host.d
     cache: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -287,6 +278,51 @@ def count_interval(lower: Walk, upper: Walk) -> int:
     return rec(0, ())
 
 
+State = TypeVar("State")
+
+
+def depth_first(
+    root: State,
+    last: int,
+    children: Callable[[int, State], Iterable[State]],
+    count_last: Callable[[int, State], int],
+    mode: Literal["count", "stream"],
+    shards: Optional[tuple[int, int]],
+):
+    """The search shared by both engines: count or stream the leaves of a
+    depth-first tree whose levels are 0..last.
+
+    ``children(depth, state)`` lists the states one level down, in stream
+    order; a stream yields the states reached below level ``last``.  A count
+    stops one level early: ``count_last(last, state)`` counts the choices at
+    the last level without listing them.  With ``shards = (index, total)``
+    only the depth-0 children at positions congruent to index modulo total
+    are explored.
+    """
+
+    def below(depth: int, state: State) -> Iterable[State]:
+        kids = children(depth, state)
+        if depth == 0 and shards is not None:
+            return islice(kids, shards[0], None, shards[1])
+        return kids
+
+    def count(depth: int, state: State) -> int:
+        if depth == last:
+            return count_last(depth, state)
+        return sum(count(depth + 1, kid) for kid in below(depth, state))
+
+    def stream(depth: int, state: State) -> Iterator[State]:
+        if depth > last:
+            yield state
+            return
+        for kid in below(depth, state):
+            yield from stream(depth + 1, kid)
+
+    if mode == "count":
+        return count(0, root)
+    return stream(0, root)
+
+
 def enumerate_all_r3(
     params: Params,
     mode: Literal["count", "stream"] = "count",
@@ -299,62 +335,25 @@ def enumerate_all_r3(
     ``shards = (index, total)`` only the top-level branches congruent to
     index modulo total are explored.
     """
+    levels = list(range(params.n, -1, -1))
+    if direction == "forward":
+        levels.reverse()
+    bounds = backward_bounds if direction == "backward" else forward_bounds
+
+    def children(depth: int, seq: LayerSequence) -> Iterator[LayerSequence]:
+        i = levels[depth]
+        lower, upper = bounds(i, seq, params)
+        return (seq.with_layer(i, w) for w in enumerate_interval(lower, upper))
+
+    def count_last(depth: int, seq: LayerSequence) -> int:
+        return count_interval(*bounds(levels[depth], seq, params))
+
+    found = depth_first(
+        LayerSequence(direction, params), params.n, children, count_last, mode, shards
+    )
     if mode == "count":
-        return _count_r3(params, direction, shards)
-    return _stream_r3(params, direction, shards)
-
-
-def _levels(params: Params, direction: Direction) -> list[int]:
-    order = list(range(params.n, -1, -1))
-    return order if direction == "backward" else order[::-1]
-
-
-def _bounds_for(
-    i: int, seq: LayerSequence, params: Params, direction: Direction
-) -> tuple[Walk, Walk]:
-    if direction == "backward":
-        return backward_bounds(i, seq, params)
-    return forward_bounds(i, seq, params)
-
-
-def _count_r3(
-    params: Params, direction: Direction, shards: Optional[tuple[int, int]]
-) -> int:
-    levels = _levels(params, direction)
-    seq = LayerSequence(direction, params)
-
-    def rec(depth: int, seq: LayerSequence) -> int:
-        i = levels[depth]
-        lower, upper = _bounds_for(i, seq, params, direction)
-        if depth == len(levels) - 1:
-            return count_interval(lower, upper)
-        total = 0
-        for pos, w in enumerate(enumerate_interval(lower, upper)):
-            if depth == 0 and shards is not None and pos % shards[1] != shards[0]:
-                continue
-            total += rec(depth + 1, seq.with_layer(i, w))
-        return total
-
-    return rec(0, seq)
-
-
-def _stream_r3(
-    params: Params, direction: Direction, shards: Optional[tuple[int, int]]
-) -> Iterator[tuple[Walk, ...]]:
-    levels = _levels(params, direction)
-
-    def rec(depth: int, seq: LayerSequence) -> Iterator[tuple[Walk, ...]]:
-        if depth == len(levels):
-            yield tuple(seq.walk(i) for i in range(params.n + 1))
-            return
-        i = levels[depth]
-        lower, upper = _bounds_for(i, seq, params, direction)
-        for pos, w in enumerate(enumerate_interval(lower, upper)):
-            if depth == 0 and shards is not None and pos % shards[1] != shards[0]:
-                continue
-            yield from rec(depth + 1, seq.with_layer(i, w))
-
-    return rec(0, LayerSequence(direction, params))
+        return found
+    return (tuple(seq.walk(i) for i in range(params.n + 1)) for seq in found)
 
 
 def layers_to_points(layers: tuple[Walk, ...]) -> frozenset[tuple[int, int, int]]:
@@ -363,56 +362,3 @@ def layers_to_points(layers: tuple[Walk, ...]) -> frozenset[tuple[int, int, int]
     for z, w in enumerate(layers):
         out.extend((x, y, z) for (x, y) in w.ideal_points())
     return frozenset(out)
-
-
-def equivalent_transport_conditions(
-    j_set: IdealSet2, k_set: IdealSet2, a: int, b: int, p: int
-) -> tuple[bool, bool, bool, bool, bool, bool]:
-    """Six independent forms of "(ideal J) + cone + (a, -b) lands inside K".
-
-    Conditions 1-3 are evaluated on explicit point sets (with the enlarged
-    host and its largest extension computed by raw order tests); conditions
-    4-6 are their boundary-walk counterparts.  All six agree for ideals of a
-    common host and a, b >= 0; exposed for property testing.
-    """
-    from .order import precedes2
-
-    u = j_set.host
-    if k_set.host != u:
-        raise InconsistentInput("both ideals must share a host")
-    big = Rect(u.a, u.b + a, u.c - b, u.d)
-    window = u.shifted(a, -b)
-    j_max = _maximal_points(j_set, p)
-
-    def reaches(w: tuple[int, int]) -> bool:
-        return any(
-            precedes2(w, (ux + a, uy - b), p) for (ux, uy) in j_max
-        )
-
-    # largest ideal of big restricting to K, by raw exclusion
-    k_missing = [q for q in u.points() if q not in k_set.points]
-    k_bar = frozenset(
-        w
-        for w in big.points()
-        if not any(precedes2(q, w, p) for q in k_missing)
-    )
-
-    cond1 = not any(
-        reaches(w) for w in u.points() if w not in k_set.points
-    )
-    cond2 = all((x + a, y - b) in k_bar for (x, y) in j_set.points)
-    cond3 = not any(reaches(w) for w in big.points() if w not in k_bar)
-
-    w_walk = walk_of(j_set, p)
-    z_walk = walk_of(k_set, p)
-    moved = shift(w_walk, a, -b)
-    low_ext = lowest_extension(moved, big)
-    high_ext = highest_extension(z_walk, big)
-    cond4 = walk_leq(restrict(low_ext, u), z_walk)
-    cond5 = walk_leq(moved, restrict(high_ext, window))
-    cond6 = walk_leq(low_ext, high_ext)
-    return (cond1, cond2, cond3, cond4, cond5, cond6)
-
-
-def _maximal_points(s: IdealSet2, p: int) -> list[tuple[int, int]]:
-    return list(walk_of(s, p).points)

@@ -17,9 +17,14 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, Literal, Optional
 
-from .errors import InconsistentInput
+from .errors import InconsistentInput, NotAnIdeal
 from .order import Params, Point3, precedes3, rotate
-from .slicing import count_interval, enumerate_interval, transport_upper_bound
+from .slicing import (
+    count_interval,
+    depth_first,
+    enumerate_interval,
+    transport_upper_bound,
+)
 from .walks import (
     IdealSet2,
     Rect,
@@ -60,7 +65,7 @@ def shell_host(i: int) -> Rect:
 
 def classify_reach(w: Walk, i: int) -> LayerReach:
     """Column-reach class of a layer ideal of [0,i]^2."""
-    hs = w.heights()
+    hs = w.hs
     c = w.host.c
     if hs[-1] >= c:
         return LayerReach.CORNER
@@ -71,7 +76,7 @@ def classify_reach(w: Walk, i: int) -> LayerReach:
 
 def is_palindromic(w: Walk, i: int) -> bool:
     """Top-row occupancy equals right-column occupancy."""
-    hs = w.heights()
+    hs = w.hs
     top = max((x for x in range(i + 1) if hs[x] == i), default=-1)
     right = hs[i] if hs[i] >= 0 else -1
     return top == right
@@ -105,7 +110,7 @@ def accumulate_layers(seq: SymLayerSequence, i: int) -> list[IdealSet2]:
     host = Rect(0, i - 1, 0, i - 1)
     sections: list[set[tuple[int, int]]] = [set() for _ in range(i)]
     for j2 in range(i):
-        hs = seq.walks[j2].heights()
+        hs = seq.walks[j2].hs
         c = seq.walks[j2].host.c
         for x in range(j2 + 1):
             h = hs[x]
@@ -124,7 +129,7 @@ def accumulated_walks(seq: SymLayerSequence, i: int) -> list[Walk]:
     for s in accumulate_layers(seq, i):
         try:
             out.append(walk_of(s, p))
-        except Exception as exc:  # pragma: no cover - guarded by callers
+        except NotAnIdeal as exc:
             raise InconsistentInput(f"cross section {s} is not an ideal") from exc
     return out
 
@@ -245,11 +250,11 @@ def enumerate_layer_sym(i: int, cum: list[Walk], params: Params) -> list[Walk]:
             continue
         for w in enumerate_interval(lower, upper):
             if pad:
-                hs = w.heights() + (host.c - 1,)
+                hs = w.hs + (host.c - 1,)
                 out.append(walk_from_heights(hs, host, p))
             else:
                 out.append(w)
-    out.sort(key=lambda w: w.heights())
+    out.sort(key=lambda w: w.hs)
     return out
 
 
@@ -286,7 +291,7 @@ def is_consistent_sym(
     cum_sets = accumulate_layers(seq, i)
     cum_walks = accumulated_walks(seq, i)
     corners = list(candidate.points)
-    hs = candidate.heights()
+    hs = candidate.hs
 
     # candidate pushed down to every lower section
     for j in range(i):
@@ -349,50 +354,20 @@ def enumerate_all_r1(
 
     Stream mode yields tuples of shell walks (W_0, ..., W_n).
     """
+
+    def children(depth: int, seq: SymLayerSequence) -> Iterator[SymLayerSequence]:
+        cum = accumulated_walks(seq, depth) if depth else []
+        return (
+            SymLayerSequence(params, seq.walks + [w])
+            for w in enumerate_layer_sym(depth, cum, params)
+        )
+
+    def count_last(depth: int, seq: SymLayerSequence) -> int:
+        return count_layer_sym(depth, accumulated_walks(seq, depth), params)
+
+    found = depth_first(
+        SymLayerSequence(params, []), params.n, children, count_last, mode, shards
+    )
     if mode == "count":
-        return _count_r1(params, shards)
-    return _stream_r1(params, shards)
-
-
-def _shell_candidates(
-    depth: int, seq: SymLayerSequence, params: Params
-) -> list[Walk]:
-    if depth == 0:
-        return enumerate_layer_sym(0, [], params)
-    cum = accumulated_walks(seq, depth)
-    return enumerate_layer_sym(depth, cum, params)
-
-
-def _count_r1(params: Params, shards: Optional[tuple[int, int]]) -> int:
-    n = params.n
-
-    def rec(depth: int, seq: SymLayerSequence) -> int:
-        if depth == n:
-            if depth == 0:
-                return 2
-            return count_layer_sym(depth, accumulated_walks(seq, depth), params)
-        total = 0
-        for pos, w in enumerate(_shell_candidates(depth, seq, params)):
-            if depth == 0 and shards is not None and pos % shards[1] != shards[0]:
-                continue
-            total += rec(depth + 1, SymLayerSequence(params, seq.walks + [w]))
-        return total
-
-    return rec(0, SymLayerSequence(params, []))
-
-
-def _stream_r1(
-    params: Params, shards: Optional[tuple[int, int]]
-) -> Iterator[tuple[Walk, ...]]:
-    n = params.n
-
-    def rec(depth: int, seq: SymLayerSequence) -> Iterator[tuple[Walk, ...]]:
-        if depth == n + 1:
-            yield tuple(seq.walks)
-            return
-        for pos, w in enumerate(_shell_candidates(depth, seq, params)):
-            if depth == 0 and shards is not None and pos % shards[1] != shards[0]:
-                continue
-            yield from rec(depth + 1, SymLayerSequence(params, seq.walks + [w]))
-
-    return rec(0, SymLayerSequence(params, []))
+        return found
+    return (tuple(seq.walks) for seq in found)

@@ -9,20 +9,23 @@ points of that profile: horizontal steps of length <= p (<= p-1 for a
 leading step) alternating with vertical steps of length <= p^2 (<= p^2-1
 for a trailing step).
 
-Everything here is exact integer arithmetic.  Walks are immutable; the host
-rectangle and the prime travel with the walk so host mismatches are
-detectable.  The two extension operations realize their semantic contracts
-(largest/smallest ideal of a bigger rectangle with a prescribed restriction)
-by per-column threshold formulas rather than point-set searches.
+Everything here is exact integer arithmetic.  A walk is stored as its
+height profile, and its corner sequence is derived only when asked for
+(serialization and validation).  Walks are immutable; the host rectangle
+and the prime travel with the walk so host mismatches are detectable.  The
+two extension operations realize their semantic contracts (largest/smallest
+ideal of a bigger rectangle with a prescribed restriction) by per-column
+threshold formulas rather than point-set searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Literal
 
 from .errors import HostMismatch, InvalidWalk, NoSuchWalk, NotAnIdeal
-from .order import Point2, precedes2
+from .order import Point2
 
 
 @dataclass(frozen=True, order=True)
@@ -72,56 +75,46 @@ class Rect:
 
 @dataclass(frozen=True)
 class Walk:
-    """A corner sequence bounding an ideal of ``host``; empty means the
-    empty ideal.  Corners are stored without intermediate lattice points."""
+    """An ideal of ``host`` stored as its column heights; host.c - 1 marks
+    an empty column.  The corner sequence of the boundary is derived on
+    first use; equality and hashing see only host, p and the heights."""
 
     host: Rect
     p: int
-    points: tuple[Point2, ...] = ()
+    hs: tuple[int, ...]
 
     @property
     def is_empty(self) -> bool:
-        return not self.points
+        return self.hs[0] < self.host.c
 
     @property
     def is_full(self) -> bool:
-        return self.points == ((self.host.b, self.host.d),)
+        return self.hs[-1] == self.host.d
 
     def heights(self) -> tuple[int, ...]:
         """Column heights of the bounded ideal; host.c - 1 marks empty."""
-        a, b, c, _ = self.host.a, self.host.b, self.host.c, self.host.d
-        hs = [c - 1] * (b - a + 1)
-        pts = self.points
-        k = len(pts)
-        i = 0
-        for x in range(a, b + 1):
-            while i < k and pts[i][0] < x:
-                i += 1
-            if i == k:
-                break
-            hs[x - a] = pts[i][1]
-        return tuple(hs)
+        return self.hs
+
+    @cached_property
+    def points(self) -> tuple[Point2, ...]:
+        """Corner sequence of the boundary walk (empty for the empty ideal)."""
+        return _corners(self.hs, self.host)
 
     def size(self) -> int:
         c = self.host.c
-        return sum(h - c + 1 for h in self.heights() if h >= c)
+        return sum(h - c + 1 for h in self.hs if h >= c)
 
     def ideal_points(self) -> frozenset[Point2]:
         """Materialize the bounded ideal as a point set."""
         a, c = self.host.a, self.host.c
         out = []
-        for i, h in enumerate(self.heights()):
+        for i, h in enumerate(self.hs):
             out.extend((a + i, y) for y in range(c, h + 1))
         return frozenset(out)
 
     def contains(self, pt: Point2) -> bool:
         """Membership of pt in the bounded ideal (False outside the host)."""
-        if not self.host.contains(pt):
-            return False
-        for x, y in self.points:
-            if pt[0] <= x and pt[1] <= y:
-                return True
-        return False
+        return self.host.contains(pt) and pt[1] <= self.hs[pt[0] - self.host.a]
 
     def to_obj(self) -> dict:
         """JSON-ready form: host [a,b,c,d] plus the corner pair array."""
@@ -130,21 +123,34 @@ class Walk:
 
 
 def walk_from_obj(obj: dict, p: int) -> Walk:
-    host = Rect(*obj["host"])
-    w = Walk(host, p, tuple((int(x), int(y)) for x, y in obj["points"]))
-    if not validate_walk(w):
-        raise InvalidWalk(f"corner list is not a walk: {obj}")
-    return w
+    pts = tuple((int(x), int(y)) for x, y in obj["points"])
+    return walk_from_corners(Rect(*obj["host"]), p, pts)
 
 
-def validate_walk(w: Walk) -> bool:
-    """Check the five step rules; True for the empty walk."""
-    pts = w.points
+def walk_from_corners(host: Rect, p: int, pts: tuple[Point2, ...]) -> Walk:
+    """Decode a corner sequence; raises InvalidWalk when it breaks a step
+    rule.  Valid corner sequences and closed height profiles are in
+    bijection, so the corners read back from the result equal ``pts``."""
+    if not validate_walk(host, p, pts):
+        raise InvalidWalk(f"corner list is not a walk: {pts} in {host}")
+    a, b, c = host.a, host.b, host.c
+    hs = [c - 1] * host.width
+    i = 0
+    for x in range(a, b + 1):
+        while i < len(pts) and pts[i][0] < x:
+            i += 1
+        if i == len(pts):
+            break
+        hs[x - a] = pts[i][1]
+    return Walk(host, p, tuple(hs))
+
+
+def validate_walk(host: Rect, p: int, pts: tuple[Point2, ...]) -> bool:
+    """Check the five step rules on a corner sequence; True when empty."""
     if not pts:
         return True
-    a, b, c, d = w.host.a, w.host.b, w.host.c, w.host.d
-    p = w.p
-    if any(not w.host.contains(q) for q in pts):
+    a, b, c, d = host.a, host.b, host.c, host.d
+    if any(not host.contains(q) for q in pts):
         return False
     x0, y0 = pts[0]
     xk, yk = pts[-1]
@@ -176,13 +182,13 @@ def validate_walk(w: Walk) -> bool:
 
 
 def walk_from_heights(hs: tuple[int, ...], host: Rect, p: int) -> Walk:
-    """Build the canonical walk for a height profile.
+    """The walk of a height profile given from outside the walk calculus.
 
     Raises NotAnIdeal when the profile violates closure: increasing heights,
     a drop beyond p^2 (p^2 - 1 into an empty tail), or a run wider than the
     step rules admit.
     """
-    a, b, c, d = host.a, host.b, host.c, host.d
+    c, d = host.c, host.d
     if len(hs) != host.width:
         raise NotAnIdeal("height profile does not match the host width")
     p2 = p * p
@@ -198,7 +204,12 @@ def walk_from_heights(hs: tuple[int, ...], host: Rect, p: int) -> Walk:
         if i >= p and c <= h < d and hs[i - p] < d and h > hs[i - p] - 1:
             raise NotAnIdeal("run below the top edge is wider than allowed")
         prev = h
-    # collect runs of equal height over nonempty columns
+    return Walk(host, p, tuple(hs))
+
+
+def _corners(hs: tuple[int, ...], host: Rect) -> tuple[Point2, ...]:
+    """Canonical corner sequence of a closed height profile."""
+    a, b, c, d = host.a, host.b, host.c, host.d
     runs: list[tuple[int, int, int]] = []  # (left, right, height)
     for i, h in enumerate(hs):
         if h < c:
@@ -209,7 +220,7 @@ def walk_from_heights(hs: tuple[int, ...], host: Rect, p: int) -> Walk:
         else:
             runs.append((a + i, a + i, h))
     if not runs:
-        return Walk(host, p)
+        return ()
     corners: list[Point2] = []
     l1, r1, h1 = runs[0]
     if h1 == d:
@@ -224,15 +235,15 @@ def walk_from_heights(hs: tuple[int, ...], host: Rect, p: int) -> Walk:
     rk, hk = runs[-1][1], runs[-1][2]
     if rk < b and hk > c:
         corners.append((rk, c))
-    return Walk(host, p, tuple(corners))
+    return tuple(corners)
 
 
 def empty_walk(host: Rect, p: int) -> Walk:
-    return Walk(host, p)
+    return Walk(host, p, (host.c - 1,) * host.width)
 
 
 def full_walk(host: Rect, p: int) -> Walk:
-    return Walk(host, p, ((host.b, host.d),))
+    return Walk(host, p, (host.d,) * host.width)
 
 
 @dataclass(frozen=True)
@@ -244,14 +255,12 @@ class IdealSet2:
 
 
 def ideal_of(w: Walk) -> IdealSet2:
-    if not validate_walk(w):
-        raise InvalidWalk(f"invalid walk {w.points} in {w.host}")
     return IdealSet2(w.host, w.ideal_points())
 
 
 def walk_of(s: IdealSet2, p: int) -> Walk:
     """Inverse of :func:`ideal_of`; raises NotAnIdeal when s is not closed."""
-    a, b, c, d = s.host.a, s.host.b, s.host.c, s.host.d
+    a, c = s.host.a, s.host.c
     hs = [c - 1] * s.host.width
     for x, y in s.points:
         if not s.host.contains((x, y)):
@@ -271,19 +280,22 @@ def _require_same_host(w1: Walk, w2: Walk) -> None:
 def walk_leq(w1: Walk, w2: Walk) -> bool:
     """Containment of bounded ideals."""
     _require_same_host(w1, w2)
-    return all(h1 <= h2 for h1, h2 in zip(w1.heights(), w2.heights()))
+    return all(h1 <= h2 for h1, h2 in zip(w1.hs, w2.hs))
+
+
+# Ideals of a rectangle are closed under intersection and union, and so are
+# their restrictions and the extremal extensions below: every result here is
+# a closed profile by construction and is built without re-validation.
 
 
 def meet(w1: Walk, w2: Walk) -> Walk:
     _require_same_host(w1, w2)
-    hs = tuple(min(h1, h2) for h1, h2 in zip(w1.heights(), w2.heights()))
-    return walk_from_heights(hs, w1.host, w1.p)
+    return Walk(w1.host, w1.p, tuple(map(min, w1.hs, w2.hs)))
 
 
 def join(w1: Walk, w2: Walk) -> Walk:
     _require_same_host(w1, w2)
-    hs = tuple(max(h1, h2) for h1, h2 in zip(w1.heights(), w2.heights()))
-    return walk_from_heights(hs, w1.host, w1.p)
+    return Walk(w1.host, w1.p, tuple(map(max, w1.hs, w2.hs)))
 
 
 def meet_all(walks: list[Walk]) -> Walk:
@@ -304,22 +316,14 @@ def restrict(w: Walk, sub: Rect) -> Walk:
     """Walk of the bounded ideal intersected with a subrectangle."""
     if not w.host.contains_rect(sub):
         raise HostMismatch(f"{sub} not inside {w.host}")
-    hs = w.heights()
-    a = w.host.a
-    out = []
-    for x in range(sub.a, sub.b + 1):
-        h = min(hs[x - a], sub.d)
-        out.append(h if h >= sub.c else sub.c - 1)
-    return walk_from_heights(tuple(out), sub, w.p)
+    hs = w.hs[sub.a - w.host.a : sub.b - w.host.a + 1]
+    c, d = sub.c, sub.d
+    return Walk(sub, w.p, tuple(min(h, d) if h >= c else c - 1 for h in hs))
 
 
 def shift(w: Walk, dx: int, dy: int) -> Walk:
     """Translate a walk (and its host) by (dx, dy)."""
-    return Walk(
-        w.host.shifted(dx, dy),
-        w.p,
-        tuple((x + dx, y + dy) for x, y in w.points),
-    )
+    return Walk(w.host.shifted(dx, dy), w.p, tuple(h + dy for h in w.hs))
 
 
 def _ceil_div(num: int, den: int) -> int:
@@ -359,16 +363,16 @@ def _avoid_up_heights(excluded: list[Point2], big: Rect, p: int) -> tuple[int, .
 def lowest_extension(z: Walk, big: Rect) -> Walk:
     """Walk of the smallest ideal of ``big`` restricting to z's ideal.
 
-    This is the cone closure of the ideal inside the bigger rectangle;
-    the closure is generated by the walk corners.
+    This is the cone closure of the ideal inside the bigger rectangle; the
+    closure is generated by the top right point of each run of equal
+    heights, which dominates its run coordinatewise.
     """
     if not big.contains_rect(z.host):
         raise HostMismatch(f"{z.host} not inside {big}")
-    if z.is_empty:
-        return Walk(big, z.p)
-    return walk_from_heights(
-        _reach_down_heights(list(z.points), big, z.p), big, z.p
-    )
+    a, c = z.host.a, z.host.c
+    hs = z.hs + (c - 1,)
+    tops = [(a + i, h) for i, h in enumerate(hs[:-1]) if h >= c and hs[i + 1] < h]
+    return Walk(big, z.p, _reach_down_heights(tops, big, z.p))
 
 
 def highest_extension(z: Walk, big: Rect) -> Walk:
@@ -381,13 +385,8 @@ def highest_extension(z: Walk, big: Rect) -> Walk:
     if not big.contains_rect(z.host):
         raise HostMismatch(f"{z.host} not inside {big}")
     small = z.host
-    hs = z.heights()
-    excluded = [
-        (small.a + i, h + 1) for i, h in enumerate(hs) if h < small.d
-    ]
-    if not excluded:
-        return full_walk(big, z.p)
-    return walk_from_heights(_avoid_up_heights(excluded, big, z.p), big, z.p)
+    excluded = [(small.a + i, h + 1) for i, h in enumerate(z.hs) if h < small.d]
+    return Walk(big, z.p, _avoid_up_heights(excluded, big, z.p))
 
 
 def ideal_transport(w: Walk, dx: int, dy: int, target: Rect) -> Walk:
@@ -406,14 +405,14 @@ def smallest_containing(pt: Point2, host: Rect, p: int) -> Walk:
     """Walk of the smallest ideal of host containing pt."""
     if not host.contains(pt):
         raise NoSuchWalk(f"{pt} outside {host}")
-    return walk_from_heights(_reach_down_heights([pt], host, p), host, p)
+    return Walk(host, p, _reach_down_heights([pt], host, p))
 
 
 def largest_avoiding(pt: Point2, host: Rect, p: int) -> Walk:
     """Walk of the largest ideal of host not containing pt."""
     if not host.contains(pt):
         return full_walk(host, p)
-    return walk_from_heights(_avoid_up_heights([pt], host, p), host, p)
+    return Walk(host, p, _avoid_up_heights([pt], host, p))
 
 
 WalkKind = Literal[
@@ -459,12 +458,3 @@ def extremal_walk(host: Rect, anchor: Point2, kind: WalkKind, p: int) -> Walk:
             return largest_avoiding((x + 1, c), host, p)
         raise NoSuchWalk(f"no walk ends at {anchor} in {host}")
     raise NoSuchWalk(f"unknown walk family {kind!r}")
-
-
-def is_closed_point_set(points: frozenset[Point2], host: Rect, p: int) -> bool:
-    """Raw downward-closure test used by oracle-grade checks."""
-    for u in points:
-        for w in host.points():
-            if w not in points and precedes2(w, u, p):
-                return False
-    return True

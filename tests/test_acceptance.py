@@ -22,13 +22,13 @@ from coneideal.oracle import (
     box_poset,
     brute_ideals,
     brute_layer_candidates,
+    equivalent_transport_conditions,
 )
 from coneideal.order import Params
 from coneideal.slicing import (
     LayerSequence,
     backward_bounds,
     enumerate_all_r3,
-    equivalent_transport_conditions,
     forward_bounds,
     ideal_transport,
     is_consistent_backward,

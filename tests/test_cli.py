@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, sharding, round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -110,6 +111,61 @@ class TestEnumerate:
         )
         assert code == 0 and out == ""
         assert len(target.read_text().splitlines()) == 5
+
+
+# Canonical streams: (p, m, r, lines, jsonl sha256, points sha256) of
+# `coneideal enumerate` stdout.  Any change to the enumeration order, the walk
+# encoding or the point expansion shows here.
+CANONICAL_STREAMS = [
+    (2, 3, 3, 20,
+     "ee6371e0fe8ccfae0bfe9d0a453c47be796ac5578c4402f030229be0da7a277b",
+     "f99617d03d1e1395c46fb288c64bac7fc72b72cee6e82b8e851c6e74cd803f93"),
+    (2, 6, 3, 494,
+     "4a207e9919ee3992abc024b5b45bfd6c5329444a30f3711f2c43873e98f0984e",
+     "2833090e2b15b54b1dc1fb8fbecced9741d7bcfda8394a2530a162260d763f69"),
+    (3, 3, 3, 980,
+     "8f9303a170ac7b84974c012784258bf4b2cb016b863dd0978dc1369b98581e18",
+     "19f1ba2affdad416bacc3ac9340a189254e8cc988c5e118d8f3db210bae35b27"),
+    (2, 3, 1, 5,
+     "7d3a3dbeee826238c03e5db474ac316af050e7a936d1c81133d303bb531f688a",
+     "218476a444b192e0da715775204de72f5a5b3c02c622103ce6790bd17a2fdf30"),
+    (2, 6, 1, 20,
+     "816a293cb038ecaa1713fcef0f2d1b6a64d9701a74869ee86a59c38e8b6faf05",
+     "5ca181856bb97f34cdbb10cdc4dd7629f9d95e2e900d4fb63ebd7c09c190bde7"),
+    (2, 9, 1, 87,
+     "e8626d1cb24cbb9b24cefea7409479ff55cade06176af9d5eeabef4333936d7d",
+     "f642fe3d1d628efb9b59ce599996d99c3a23d56f32b5be2e90fa8fab9f56985f"),
+    (2, 12, 1, 564,
+     "5c32185e342797700a6e81bc148ee2cd9864a5785a97dc753bc97a7d263146a4",
+     "6758c2c6128ec0628062dd8d23ee21d39657bc17426e83a449e0c1638526226b"),
+    (3, 3, 1, 20,
+     "5bad751da79332fa4c506bdcc72b8e8c1ea0835e774770f313de38e5e40d3697",
+     "8611dfd864fc0c811f8a51d4182915f162308aaf24c8167058c9eb1a0d045f53"),
+    (3, 6, 1, 1256,
+     "357a046de0a2f633e6707c9f1e7076d4b8d4e0f4e6282921481d80e66f6b6f4d",
+     "3d58a77247f9e0281547d46b44c9f1c26bc5f36c3bb07746c9288d5facee8086"),
+    (5, 3, 1, 1452,
+     "7724117b7892bfa973677b08b79bc1b624874d2e392049463381e7c35c9f4d0f",
+     "7f30dd8d3c49416c882ac76f692085e072f060df28bd5b8e244916d25f65f488"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "points"])
+@pytest.mark.parametrize(
+    "p,m,r,lines,jsonl_sha,points_sha",
+    CANONICAL_STREAMS,
+    ids=[f"p{c[0]}-m{c[1]}-r{c[2]}" for c in CANONICAL_STREAMS],
+)
+def test_canonical_stream(capsys, p, m, r, lines, jsonl_sha, points_sha, fmt):
+    code, out, _ = run(
+        capsys, "enumerate", "--p", str(p), "--m", str(m), "--r", str(r),
+        "--format", fmt,
+    )
+    assert code == 0
+    data = out.encode()
+    assert data.count(b"\n") == lines
+    expected = jsonl_sha if fmt == "jsonl" else points_sha
+    assert hashlib.sha256(data).hexdigest() == expected
 
 
 class TestDefiningSet:
@@ -244,7 +300,7 @@ class TestRoundTrip:
             rec = json.loads(line)
             for i, obj in enumerate(rec["sym_layers"]):
                 w = walk_from_obj(obj, rec["p"])
-                assert validate_walk(w)
+                assert validate_walk(w.host, w.p, w.points)
                 assert w.host.b == i  # shell hosts grow with the index
 
     def test_enumerated_ideals_feed_other_commands(self, capsys, tmp_path):

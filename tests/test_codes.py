@@ -7,19 +7,21 @@ from coneideal.codes import (
     build_code,
     composition_counts,
     digit_class_sums,
-    group_closure_order,
     in_sum_zero_space,
     is_invariant_ideal,
-    kernel_basis,
     preimage_count,
     preimage_list,
     verify_invariance,
-    verify_invariance_on_words,
     violated_condition,
-    word_in_code,
 )
 from coneideal.errors import CapExceeded, NotInvariant, OutOfRange
 from coneideal.fields import SmallField, least_irreducible
+from coneideal.oracle import (
+    group_closure_order,
+    kernel_basis,
+    verify_invariance_on_words,
+    word_in_code,
+)
 from coneideal.order import Params
 from coneideal.symmetric import SymLayerSequence, assembled_points, enumerate_all_r1
 

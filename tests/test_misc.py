@@ -6,7 +6,8 @@ import pytest
 
 from coneideal.codes import build_code
 from coneideal.errors import InconsistentInput
-from coneideal.order import Params, precedes3, precedes_generic
+from coneideal.oracle import precedes_generic
+from coneideal.order import Params, precedes3
 from coneideal.slicing import LayerSequence, backward_bounds, forward_bounds, layer_host
 from coneideal.walks import empty_walk, full_walk
 

@@ -6,17 +6,13 @@ from fractions import Fraction
 import pytest
 
 from coneideal.errors import OutOfRange
-from coneideal.order import (
-    Params,
+from coneideal.oracle import (
     cone_slice_anchor,
     in_slice,
-    is_prime,
-    precedes2,
-    precedes3,
     rational_shift_covers,
-    rotate,
     section_precedes,
 )
+from coneideal.order import Params, is_prime, precedes2, precedes3, rotate
 
 
 def box3(lo, hi):

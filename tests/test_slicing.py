@@ -10,13 +10,13 @@ from coneideal.oracle import (
     box_poset,
     brute_ideals,
     brute_layer_candidates,
+    equivalent_transport_conditions,
 )
 from coneideal.order import Params
 from coneideal.slicing import (
     LayerSequence,
     backward_bounds,
     enumerate_all_r3,
-    equivalent_transport_conditions,
     forward_bounds,
     is_consistent_backward,
     is_consistent_forward,

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from coneideal.errors import InconsistentInput
 from coneideal.oracle import (
     all_rect_ideals,
     box_poset,
@@ -27,7 +28,14 @@ from coneideal.symmetric import (
     is_palindromic,
     symmetric_bounds,
 )
-from coneideal.walks import IdealSet2, Rect, Walk, empty_walk, full_walk, walk_of
+from coneideal.walks import (
+    IdealSet2,
+    Rect,
+    empty_walk,
+    full_walk,
+    walk_from_corners,
+    walk_of,
+)
 
 from conftest import (
     EXAMPLE_IDEAL,
@@ -49,7 +57,7 @@ class TestAccumulate:
     def test_origin_only(self):
         params = Params(p=2, m=3, r=1)
         seq = SymLayerSequence(
-            params, [Walk(Rect(0, 0, 0, 0), 2, ((0, 0),))]
+            params, [walk_from_corners(Rect(0, 0, 0, 0), 2, ((0, 0),))]
         )
         [section] = accumulate_layers(seq, 1)
         assert section.points == frozenset({(0, 0)})
@@ -134,7 +142,7 @@ class TestPalindrome:
         seq = SymLayerSequence(
             params,
             [
-                Walk(Rect(0, 0, 0, 0), 2, ((0, 0),)),
+                walk_from_corners(Rect(0, 0, 0, 0), 2, ((0, 0),)),
                 full_walk(Rect(0, 1, 0, 1), 2),
             ],
         )
@@ -152,7 +160,7 @@ class TestPalindrome:
 class TestLayerEnumeration:
     def test_first_shell_after_origin(self):
         params = Params(p=2, m=3, r=1)
-        seq = SymLayerSequence(params, [Walk(Rect(0, 0, 0, 0), 2, ((0, 0),))])
+        seq = SymLayerSequence(params, [walk_from_corners(Rect(0, 0, 0, 0), 2, ((0, 0),))])
         cum = accumulated_walks(seq, 1)
         got = {w.ideal_points() for w in enumerate_layer_sym(1, cum, params)}
         expected = {
@@ -336,3 +344,52 @@ class TestReducedConsistencyPaths:
                     assert is_consistent_sym(
                         i, w, seq, method="full"
                     ) == is_consistent_sym(i, w, seq, method="reduced")
+
+
+# A p = 2 shell stack whose last layer, heights (5, 2, 2, 1, 1, 0), the
+# engine emits at shell 5 although its rotated copies do not close: the
+# corner case u = 0 of the shell-5 layer intervals lets it through.  The
+# r = 1 stream at p = 2, m = 15 ends 12 of its 5 236 ideals with this layer;
+# at m = 18 the stream stops with InconsistentInput once it builds on it.
+DEFECT_PARAMS = Params(p=2, m=18, r=1)
+DEFECT_SHELLS = (
+    ((0, 0),),
+    ((1, 1),),
+    ((2, 2),),
+    ((2, 3), (2, 2), (3, 2)),
+    ((1, 4), (1, 2), (2, 2), (2, 1), (4, 1)),
+    ((0, 5), (0, 2), (2, 2), (2, 1), (4, 1), (4, 0), (5, 0)),
+)
+
+
+def _defect_stack(k: int) -> SymLayerSequence:
+    walks = [
+        walk_from_corners(Rect(0, j, 0, j), 2, DEFECT_SHELLS[j]) for j in range(k)
+    ]
+    return SymLayerSequence(DEFECT_PARAMS, walks)
+
+
+class TestShellFiveDefect:
+    def test_non_ideal_section_raises_inconsistent_input(self):
+        with pytest.raises(InconsistentInput):
+            accumulated_walks(_defect_stack(6), 6)
+
+    def test_defect_layer_is_emitted_and_rejected(self):
+        seq = _defect_stack(5)
+        cands = enumerate_layer_sym(5, accumulated_walks(seq, 5), DEFECT_PARAMS)
+        assert len(cands) == 61
+        bad = _defect_stack(6).walks[5]
+        assert bad.heights() == (5, 2, 2, 1, 1, 0)
+        assert bad in cands
+        assert not is_consistent_sym(5, bad, seq, method="full")
+        assert not is_consistent_sym(5, bad, seq, method="reduced")
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known r = 1 soundness defect: the shell-5 corner case u = 0 "
+        "emits a layer whose rotated copies do not close",
+    )
+    def test_every_emitted_layer_is_consistent(self):
+        seq = _defect_stack(5)
+        cands = enumerate_layer_sym(5, accumulated_walks(seq, 5), DEFECT_PARAMS)
+        assert all(is_consistent_sym(5, w, seq) for w in cands)

@@ -2,6 +2,7 @@
 restriction, shift, extensions and extremal walks."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +15,10 @@ from coneideal.errors import (
     NotAnIdeal,
 )
 from coneideal.oracle import all_rect_ideals, brute_extension
+from coneideal.slicing import enumerate_interval
 from coneideal.walks import (
     IdealSet2,
     Rect,
-    Walk,
     empty_walk,
     extremal_walk,
     full_walk,
@@ -29,6 +30,7 @@ from coneideal.walks import (
     restrict,
     shift,
     validate_walk,
+    walk_from_corners,
     walk_from_heights,
     walk_from_obj,
     walk_leq,
@@ -39,7 +41,7 @@ FIG_WALK = ((0, 9), (1, 9), (1, 7), (3, 7), (3, 3), (5, 3), (5, 0))
 
 
 def staircase_walk():
-    return Walk(Rect(0, 10, 0, 10), 2, FIG_WALK)
+    return walk_from_corners(Rect(0, 10, 0, 10), 2, FIG_WALK)
 
 
 @st.composite
@@ -50,6 +52,12 @@ def walk_strategy(draw, max_side=5, primes=(2, 3, 5)):
     c = draw(st.integers(-2, 2))
     d = c + draw(st.integers(0, max_side))
     host = Rect(a, b, c, d)
+    return walk_from_heights(draw_heights(draw, host, p), host, p)
+
+
+def draw_heights(draw, host, p):
+    """A random closed height profile of host, column by column."""
+    c, d = host.c, host.d
     hs: list[int] = []
     for i in range(host.width):
         ub = d if not hs else hs[-1]
@@ -62,38 +70,39 @@ def walk_strategy(draw, max_side=5, primes=(2, 3, 5)):
             if not (v >= c and i >= p and hs[i - p] < d and v > hs[i - p] - 1)
         ]
         hs.append(draw(st.sampled_from(options)))
-    return walk_from_heights(tuple(hs), host, p)
+    return tuple(hs)
 
 
 class TestValidation:
     def test_reference_staircase_is_valid(self):
-        assert validate_walk(staircase_walk())
+        w = staircase_walk()
+        assert validate_walk(w.host, w.p, w.points)
 
     def test_leading_horizontal_step_too_long(self):
-        assert not validate_walk(Walk(Rect(0, 2, 0, 2), 2, ((0, 0), (2, 0))))
+        assert not validate_walk(Rect(0, 2, 0, 2), 2, ((0, 0), (2, 0)))
 
     def test_empty_walk_is_valid(self):
-        assert validate_walk(empty_walk(Rect(0, 3, 0, 3), 2))
+        e = empty_walk(Rect(0, 3, 0, 3), 2)
+        assert validate_walk(e.host, e.p, e.points)
 
     def test_alternation_required(self):
-        w = Walk(Rect(0, 4, 0, 4), 5, ((0, 3), (1, 3), (2, 3), (2, 0), (4, 0)))
-        assert not validate_walk(w)
+        pts = ((0, 3), (1, 3), (2, 3), (2, 0), (4, 0))
+        assert not validate_walk(Rect(0, 4, 0, 4), 5, pts)
 
     def test_trailing_vertical_step_too_long(self):
         # a drop of p^2 may only appear mid-walk, not as the final step
-        w = Walk(Rect(0, 4, 0, 4), 2, ((0, 4), (0, 0)))
-        assert not validate_walk(w)
-        ok = Walk(Rect(0, 4, 0, 4), 2, ((0, 3), (0, 0)))
-        assert validate_walk(ok)
+        assert not validate_walk(Rect(0, 4, 0, 4), 2, ((0, 4), (0, 0)))
+        assert validate_walk(Rect(0, 4, 0, 4), 2, ((0, 3), (0, 0)))
 
     def test_single_point_rules(self):
         host = Rect(0, 3, 0, 3)
-        assert validate_walk(full_walk(host, 2))
-        assert not validate_walk(Walk(host, 2, ((1, 2),)))
-        assert validate_walk(Walk(host, 2, ((0, 0),)))  # bottom-left corner
+        full = full_walk(host, 2)
+        assert validate_walk(host, 2, full.points)
+        assert not validate_walk(host, 2, ((1, 2),))
+        assert validate_walk(host, 2, ((0, 0),))  # bottom-left corner
 
     def test_points_outside_host_rejected(self):
-        assert not validate_walk(Walk(Rect(0, 2, 0, 2), 2, ((0, 3),)))
+        assert not validate_walk(Rect(0, 2, 0, 2), 2, ((0, 3),))
 
 
 class TestBoundaryBijection:
@@ -116,7 +125,7 @@ class TestBoundaryBijection:
                 seen = set()
                 for pts in all_rect_ideals(host, p):
                     w = walk_of(IdealSet2(host, pts), p)
-                    assert validate_walk(w)
+                    assert validate_walk(w.host, w.p, w.points)
                     assert w.ideal_points() == pts
                     assert w.points not in seen
                     seen.add(w.points)
@@ -140,12 +149,12 @@ class TestBoundaryBijection:
     @given(walk_strategy())
     @settings(max_examples=300, deadline=None)
     def test_random_profiles_round_trip(self, w):
-        assert validate_walk(w)
+        assert validate_walk(w.host, w.p, w.points)
         assert walk_of(ideal_of(w), w.p) == w
 
     def test_invalid_walk_raises_on_ideal_of(self):
         with pytest.raises(InvalidWalk):
-            ideal_of(Walk(Rect(0, 2, 0, 2), 2, ((0, 0), (2, 0))))
+            walk_from_corners(Rect(0, 2, 0, 2), 2, ((0, 0), (2, 0)))
 
     def test_serialization_round_trip(self):
         w = staircase_walk()
@@ -194,6 +203,41 @@ class TestLattice:
                 assert join(w1, w2) == join(w2, w1)
                 assert join(w1, meet(w1, w2)) == w1
                 assert meet(w1, join(w1, w2)) == w1
+
+
+class TestResultsAreClosed:
+    """The lattice operations, restriction, the extensions and interval
+    enumeration build walks from heights without re-validating them; the
+    validating decoders must accept every such result unchanged."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_results_decode_back(self, data):
+        w1 = data.draw(walk_strategy())
+        host, p = w1.host, w1.p
+        w2 = walk_from_heights(draw_heights(data.draw, host, p), host, p)
+        a = data.draw(st.integers(host.a, host.b))
+        b = data.draw(st.integers(a, host.b))
+        c = data.draw(st.integers(host.c, host.d))
+        d = data.draw(st.integers(c, host.d))
+        sub = Rect(a, b, c, d)
+        grow = [data.draw(st.integers(0, 2)) for _ in range(4)]
+        big = Rect(host.a - grow[0], host.b + grow[1], host.c - grow[2], host.d + grow[3])
+        part = restrict(w1, sub)
+        lo, hi = meet(w1, w2), join(w1, w2)
+        results = [
+            lo,
+            hi,
+            part,
+            lowest_extension(w1, big),
+            highest_extension(w1, big),
+            lowest_extension(part, host),
+            highest_extension(part, host),
+        ]
+        results.extend(islice(enumerate_interval(lo, hi), 50))
+        for w in results:
+            assert walk_from_heights(w.heights(), w.host, w.p) == w
+            assert walk_from_corners(w.host, w.p, w.points) == w
 
 
 class TestRestrictShift:
