@@ -28,18 +28,12 @@ from .slicing import (
     enumerate_all_r3,
     enumerate_interval,
     forward_bounds,
-    is_consistent_backward,
-    is_consistent_forward,
     LayerSequence,
     layers_to_points,
 )
 from .symmetric import (
-    accumulate_layers,
-    classify_reach,
     enumerate_all_r1,
     enumerate_layer_sym,
-    is_consistent_sym,
-    LayerReach,
     SymLayerSequence,
     symmetric_bounds,
 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 from .codes import (
     DEFAULT_SCAN_CAP,
@@ -61,48 +61,44 @@ def _open_emit(args: argparse.Namespace) -> TextIO:
 
 
 def _shards(args: argparse.Namespace) -> Optional[tuple[int, int]]:
-    if args.shards <= 1:
-        return None
-    if not 0 <= args.shard < args.shards:
-        raise _CliError(EXIT_BAD_PARAMS, "shard index out of range")
-    return (args.shard, args.shards)
+    if args.shards < 1 or not 0 <= args.shard < args.shards:
+        raise _CliError(
+            EXIT_BAD_PARAMS, "need --shards >= 1 and 0 <= --shard < --shards"
+        )
+    return (args.shard, args.shards) if args.shards > 1 else None
+
+
+def _engine(params: Params) -> tuple[Callable, str, Callable]:
+    """The engine for params.r: its search, the JSONL key of the walks it
+    emits, and the 3D point set of one emitted walk tuple."""
+    if params.r == 3:
+        return enumerate_all_r3, "layers", layers_to_points
+    return (
+        enumerate_all_r1,
+        "sym_layers",
+        lambda walks: assembled_points(SymLayerSequence(params, list(walks))),
+    )
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     params = _params(args)
     shards = _shards(args)
+    search, key, to_points = _engine(params)
     if args.count_only:
-        if params.r == 3:
-            total = enumerate_all_r3(params, mode="count", shards=shards)
-        else:
-            total = enumerate_all_r1(params, mode="count", shards=shards)
-        print(total)
+        print(search(params, mode="count", shards=shards))
         return 0
     out = _open_emit(args)
     try:
-        if params.r == 3:
-            for layers in enumerate_all_r3(params, mode="stream", shards=shards):
-                rec = {
-                    "p": params.p,
-                    "m": params.m,
-                    "r": 3,
-                    "layers": [w.to_obj() for w in layers],
-                }
-                if args.format == "points":
-                    rec["points"] = sorted(layers_to_points(layers))
-                out.write(json.dumps(rec) + "\n")
-        else:
-            for walks in enumerate_all_r1(params, mode="stream", shards=shards):
-                rec = {
-                    "p": params.p,
-                    "m": params.m,
-                    "r": 1,
-                    "sym_layers": [w.to_obj() for w in walks],
-                }
-                if args.format == "points":
-                    pts = assembled_points(SymLayerSequence(params, list(walks)))
-                    rec["points"] = sorted(pts)
-                out.write(json.dumps(rec) + "\n")
+        for walks in search(params, mode="stream", shards=shards):
+            rec = {
+                "p": params.p,
+                "m": params.m,
+                "r": params.r,
+                key: [w.to_obj() for w in walks],
+            }
+            if args.format == "points":
+                rec["points"] = sorted(to_points(walks))
+            out.write(json.dumps(rec) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -142,24 +138,18 @@ def cmd_defining_set(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _params(args)
+    if args.ideal:
+        ideals = [_load_ideal(args.ideal)]
+    else:
+        search, _, to_points = _engine(params)
+        ideals = map(to_points, search(params, mode="stream"))
     try:
-        if args.ideal:
-            ideals = [_load_ideal(args.ideal)]
-        elif params.r == 3:
-            ideals = [
-                layers_to_points(layers)
-                for layers in enumerate_all_r3(params, mode="stream")
-            ]
-        else:
-            ideals = [
-                assembled_points(SymLayerSequence(params, list(walks)))
-                for walks in enumerate_all_r1(params, mode="stream")
-            ]
         gens = agl_generators(params, cap_field=args.cap_field)
     except CapExceeded as exc:
         return _fail(EXIT_CAP, str(exc))
-    failures = 0
+    failures = checked = 0
     for idx, ideal in enumerate(ideals):
+        checked += 1
         try:
             spec = build_code(ideal, params, cap_field=args.cap_field)
         except NotInvariant as exc:
@@ -179,7 +169,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"\tinvariant={'yes' if invariant else 'NO'}"
             f"\tsum-zero-dichotomy={'yes' if dichotomy else 'NO'}"
         )
-    print(f"{len(ideals) - failures}/{len(ideals)} PASS", file=sys.stderr)
+    print(f"{checked - failures}/{checked} PASS", file=sys.stderr)
     return 0 if failures == 0 else EXIT_VERIFY_FAILED
 
 

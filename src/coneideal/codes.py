@@ -205,7 +205,6 @@ def build_code(
     ideal: frozenset[Point3],
     params: Params,
     cap_field: int = DEFAULT_FIELD_CAP,
-    with_list: bool = True,
 ) -> CodeSpec:
     """Materialize the power-sum constraint system of an invariant ideal."""
     reason = violated_condition(ideal, params)
@@ -224,7 +223,7 @@ def build_code(
         params=params,
         ideal=ideal,
         defining_count=preimage_count(ideal, params),
-        defining=defining if with_list else [],
+        defining=defining,
         fld=fld,
         element_order=order,
         rref=rref,

@@ -8,29 +8,38 @@ extension (coordinate sum first, which is strictly monotone for the cone
 order) and therefore costs O(number of ideals) rather than O(2^points).
 
 The remaining referees are alternative forms that tests compare against the
-fast paths: the generic-e, cross-section and rational-anchor forms of the
-order (:func:`precedes_generic`, :func:`section_precedes`,
-:func:`rational_shift_covers`); :func:`equivalent_transport_conditions`,
-whose last three conditions are the walk-calculus forms checked against the
-first three on point sets; and the codeword-level invariance check
-(:func:`verify_invariance_on_words` with :func:`kernel_basis`,
-:func:`word_in_code`) and group order (:func:`group_closure_order`) for the
-codes.
+fast paths: the direct consistency tests of a candidate layer
+(:func:`is_consistent_backward`, :func:`is_consistent_forward`,
+:func:`is_consistent_sym` with :func:`is_palindromic`), the point-set cross
+sections :func:`accumulate_layers` and the reach classes
+:func:`classify_reach` of the shells; the generic-e, cross-section and
+rational-anchor forms of the order (:func:`precedes_generic`,
+:func:`section_precedes`, :func:`rational_shift_covers`);
+:func:`equivalent_transport_conditions`, whose last three conditions are the
+walk-calculus forms checked against the first three on point sets; and the
+codeword-level invariance check (:func:`verify_invariance_on_words` with
+:func:`kernel_basis`, :func:`word_in_code`) and group order
+(:func:`group_closure_order`) for the codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import IntEnum
 from fractions import Fraction
 from typing import Callable, Iterable, Literal
 
 from .codes import CodeSpec
 from .errors import CapExceeded, InconsistentInput, TooLarge
 from .order import Params, Point2, Point3, precedes2, precedes3, rotate
+from .slicing import LayerSequence, layer_host, nonempty_lookahead, nonfull_lookback
+from .symmetric import SymLayerSequence, accumulated_walks
 from .walks import (
     IdealSet2,
     Rect,
+    Walk,
     highest_extension,
+    ideal_transport,
     lowest_extension,
     restrict,
     shift,
@@ -331,6 +340,181 @@ def brute_layer_candidates(
         ):
             out.append(cand)
     return out
+
+
+# -- consistency of a candidate layer with a partial stack --
+
+
+def is_consistent_backward(i: int, candidate: Walk, seq: LayerSequence) -> bool:
+    """Direct four-condition test that candidate fits below layers i+1..n."""
+    params = seq.params
+    p, n = params.p, params.n
+    u = layer_host(params)
+    if i >= n:
+        return True
+    if not walk_leq(seq.walk(i + 1), candidate):
+        return False
+    if not walk_leq(ideal_transport(candidate, 0, -p, u), seq.walk(i + 1)):
+        return False
+    if i + p <= n and not walk_leq(
+        ideal_transport(seq.walk(i + p), 1, 0, u), candidate
+    ):
+        return False
+    t = nonempty_lookahead(i, seq)
+    if t is not None and not walk_leq(
+        ideal_transport(seq.walk(i + t), 1, -p * p + p * t, u), candidate
+    ):
+        return False
+    return True
+
+
+def is_consistent_forward(i: int, candidate: Walk, seq: LayerSequence) -> bool:
+    """Direct four-condition test that candidate fits above layers 0..i-1."""
+    params = seq.params
+    p = params.p
+    u = layer_host(params)
+    if i <= 0:
+        return True
+    if not walk_leq(candidate, seq.walk(i - 1)):
+        return False
+    if not walk_leq(ideal_transport(seq.walk(i - 1), 0, -p, u), candidate):
+        return False
+    if i - p >= 0 and not walk_leq(
+        ideal_transport(candidate, 1, 0, u), seq.walk(i - p)
+    ):
+        return False
+    t = nonfull_lookback(i, seq.walks, p)
+    if t is not None and not walk_leq(
+        ideal_transport(candidate, 1, -p * p + p * t, u), seq.walk(i - t)
+    ):
+        return False
+    return True
+
+
+class LayerReach(IntEnum):
+    """How far a shell layer reaches into its last two columns."""
+
+    INNER = 1  # nothing at x >= i-1
+    EDGE = 2  # column i-1 touched, column i empty
+    CORNER = 3  # column i touched
+
+
+def classify_reach(w: Walk, i: int) -> LayerReach:
+    """Column-reach class of a layer ideal of [0,i]^2."""
+    hs = w.hs
+    c = w.host.c
+    if hs[-1] >= c:
+        return LayerReach.CORNER
+    if i >= 1 and hs[-2] >= c:
+        return LayerReach.EDGE
+    return LayerReach.INNER
+
+
+def is_palindromic(w: Walk, i: int) -> bool:
+    """Top-row occupancy equals right-column occupancy."""
+    hs = w.hs
+    top = max((x for x in range(i + 1) if hs[x] == i), default=-1)
+    right = hs[i] if hs[i] >= 0 else -1
+    return top == right
+
+
+def accumulate_layers(seq: SymLayerSequence, i: int) -> list[IdealSet2]:
+    """Per-height cross sections of the union of rotated layers 0..i-1.
+
+    Entry j is the z = j section, an ideal of [0,i-1]^2: the layer J_j plus
+    the points contributed by rotations of the higher layers.
+    """
+    host = Rect(0, i - 1, 0, i - 1)
+    sections: list[set[tuple[int, int]]] = [set() for _ in range(i)]
+    for j2 in range(i):
+        hs = seq.walks[j2].hs
+        c = seq.walks[j2].host.c
+        for x in range(j2 + 1):
+            h = hs[x]
+            if h < c:
+                continue
+            for y in range(c, h + 1):
+                sections[j2].add((x, y))
+                sections[x].add((y, j2))  # image under one rotation
+                sections[y].add((j2, x))  # image under two rotations
+    return [IdealSet2(host, frozenset(s)) for s in sections]
+
+
+def is_consistent_sym(
+    i: int,
+    candidate: Walk,
+    seq: SymLayerSequence,
+    method: Literal["full", "reduced"] = "full",
+) -> bool:
+    """Set-level test that candidate extends the shell stack at level i.
+
+    The full method evaluates the palindrome condition, the downward and
+    upward transport inclusions against every accumulated section, and the
+    two rotated-cone inclusions.  The reduced method drops the first rotated
+    inclusion (implied) and replaces the second by the max-row/max-column
+    comparison that is equivalent once the rest holds.
+    """
+    params = seq.params
+    p = params.p
+    if i == 0:
+        return True
+    if not is_palindromic(candidate, i):
+        return False
+    cum_sets = accumulate_layers(seq, i)
+    cum_walks = accumulated_walks(seq, i)
+    corners = list(candidate.points)
+    hs = candidate.hs
+
+    # candidate pushed down to every lower section
+    for j in range(i):
+        sec = cum_sets[j].points
+        for x in range(i):
+            for y in range(i):
+                if (x, y) in sec:
+                    continue
+                if any(
+                    precedes3((x, y, j), (cx, cy, i), p) for cx, cy in corners
+                ):
+                    return False
+    # every lower section pushed up to the candidate
+    for j in range(i):
+        sec_corners = list(cum_walks[j].points)
+        for x in range(i + 1):
+            for y in range(i + 1):
+                if candidate.contains((x, y)):
+                    continue
+                if any(
+                    precedes3((x, y, i), (cx, cy, j), p) for cx, cy in sec_corners
+                ):
+                    return False
+
+    if method == "reduced":
+        if i >= p:
+            right_top = hs[i - 1]
+            if right_top >= 0:
+                row = max(
+                    (x for x in range(i + 1) if hs[x] >= i - p), default=-1
+                )
+                if right_top > row:
+                    return False
+        return True
+
+    # rotated-cone inclusions, checked literally on the two rotated shells
+    for alpha in range(i + 1):
+        for gamma in range(i + 1):
+            if any(
+                precedes3((alpha, i, gamma), (cx, cy, i), p) for cx, cy in corners
+            ):
+                if not candidate.contains((gamma, alpha)):
+                    return False
+    for beta in range(i + 1):
+        for gamma in range(i + 1):
+            if any(
+                precedes3((i, beta, gamma), (cx, cy, i), p) for cx, cy in corners
+            ):
+                if not candidate.contains((beta, gamma)):
+                    return False
+    return True
 
 
 # -- alternative forms of the order --

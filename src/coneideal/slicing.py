@@ -13,17 +13,17 @@ interval [lower, upper]:
   where beta is the largest offset 1..p-1 whose layer is not full).
 
 An undefined term (offset out of range, or no alpha/beta) is simply left
-out of the join/meet.  Interval enumeration recurses over column heights in
+out of the join/meet.  The forward rule also serves the r = 1 engine, whose
+walks below height i are the cross sections under a shell.  Interval enumeration recurses over column heights in
 lexicographic order, which makes the output stream canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterable, Iterator, Literal, Optional, TypeVar
 
-from .errors import BoundsInverted, InconsistentInput
+from .errors import BoundsInverted
 from .order import Params
 from .walks import (
     Rect,
@@ -73,11 +73,12 @@ def nonempty_lookahead(i: int, seq: LayerSequence) -> Optional[int]:
     return None
 
 
-def nonfull_lookback(i: int, seq: LayerSequence) -> Optional[int]:
-    """Largest t with 1 <= t <= p-1, i-t >= 0 and layer i-t not full."""
-    p = seq.params.p
+def nonfull_lookback(
+    i: int, below: dict[int, Walk] | list[Walk], p: int
+) -> Optional[int]:
+    """Largest t with 1 <= t <= p-1, i-t >= 0 and walk i-t below not full."""
     for t in range(min(p - 1, i), 0, -1):
-        if not seq.walks[i - t].is_full:
+        if not below[i - t].is_full:
             return t
     return None
 
@@ -93,16 +94,12 @@ def transport_upper_bound(z: Walk, dx: int, dy: int, target: Rect) -> Walk:
     return shift(restrict(highest_extension(z, big), window), -dx, -dy)
 
 
-def backward_bounds(
-    i: int, seq: LayerSequence, params: Params, verify: bool = False
-) -> tuple[Walk, Walk]:
+def backward_bounds(i: int, seq: LayerSequence, params: Params) -> tuple[Walk, Walk]:
     """Walk interval for layer i given backward-consistent layers i+1..n."""
     p, n = params.p, params.n
     u = layer_host(params)
     if i >= n:
         return empty_walk(u, p), full_walk(u, p)
-    if verify and not _is_consistent_suffix(i + 1, seq, params):
-        raise InconsistentInput(f"layers {i + 1}..{n} are not backward consistent")
     lower_terms = [seq.walk(i + 1)]
     if i + p <= n:
         lower_terms.append(ideal_transport(seq.walk(i + p), 1, 0, u))
@@ -115,86 +112,33 @@ def backward_bounds(
     return join_all(lower_terms), upper
 
 
-def forward_bounds(
-    i: int, seq: LayerSequence, params: Params, verify: bool = False
+def forward_interval(
+    i: int, below: dict[int, Walk] | list[Walk], host: Rect, p: int
 ) -> tuple[Walk, Walk]:
-    """Walk interval for layer i given forward-consistent layers 0..i-1."""
-    p, n = params.p, params.n
-    u = layer_host(params)
+    """The forward rule: walk interval over host for height i given the
+    walks below[0..i-1] of the heights under it.
+
+    The walks below may live on a smaller host than the target (the r = 1
+    cross sections of [0,i-1]^2 under shell i of [0,i]^2); on a common host
+    the highest extension of walk i-1 is walk i-1 itself.
+    """
     if i <= 0:
-        return empty_walk(u, p), full_walk(u, p)
-    if verify and not _is_consistent_prefix(i - 1, seq, params):
-        raise InconsistentInput(f"layers 0..{i - 1} are not forward consistent")
-    lower = ideal_transport(seq.walk(i - 1), 0, -p, u)
-    upper_terms = [seq.walk(i - 1)]
-    if i - p >= 0:
-        upper_terms.append(transport_upper_bound(seq.walk(i - p), 1, 0, u))
-    t = nonfull_lookback(i, seq)
+        return empty_walk(host, p), full_walk(host, p)
+    lower = ideal_transport(below[i - 1], 0, -p, host)
+    upper_terms = [highest_extension(below[i - 1], host)]
+    if i >= p:
+        upper_terms.append(transport_upper_bound(below[i - p], 1, 0, host))
+    t = nonfull_lookback(i, below, p)
     if t is not None:
         upper_terms.append(
-            transport_upper_bound(seq.walk(i - t), 1, -p * p + p * t, u)
+            transport_upper_bound(below[i - t], 1, -p * p + p * t, host)
         )
     return lower, meet_all(upper_terms)
 
 
-def is_consistent_backward(i: int, candidate: Walk, seq: LayerSequence) -> bool:
-    """Direct four-condition test that candidate fits below layers i+1..n."""
-    params = seq.params
-    p, n = params.p, params.n
-    u = layer_host(params)
-    if i >= n:
-        return True
-    if not walk_leq(seq.walk(i + 1), candidate):
-        return False
-    if not walk_leq(ideal_transport(candidate, 0, -p, u), seq.walk(i + 1)):
-        return False
-    if i + p <= n and not walk_leq(
-        ideal_transport(seq.walk(i + p), 1, 0, u), candidate
-    ):
-        return False
-    t = nonempty_lookahead(i, seq)
-    if t is not None and not walk_leq(
-        ideal_transport(seq.walk(i + t), 1, -p * p + p * t, u), candidate
-    ):
-        return False
-    return True
-
-
-def is_consistent_forward(i: int, candidate: Walk, seq: LayerSequence) -> bool:
-    """Direct four-condition test that candidate fits above layers 0..i-1."""
-    params = seq.params
-    p = params.p
-    u = layer_host(params)
-    if i <= 0:
-        return True
-    if not walk_leq(candidate, seq.walk(i - 1)):
-        return False
-    if not walk_leq(ideal_transport(seq.walk(i - 1), 0, -p, u), candidate):
-        return False
-    if i - p >= 0 and not walk_leq(
-        ideal_transport(candidate, 1, 0, u), seq.walk(i - p)
-    ):
-        return False
-    t = nonfull_lookback(i, seq)
-    if t is not None and not walk_leq(
-        ideal_transport(candidate, 1, -p * p + p * t, u), seq.walk(i - t)
-    ):
-        return False
-    return True
-
-
-def _is_consistent_suffix(j: int, seq: LayerSequence, params: Params) -> bool:
-    for i in range(params.n - 1, j - 1, -1):
-        if not is_consistent_backward(i, seq.walk(i), seq):
-            return False
-    return True
-
-
-def _is_consistent_prefix(j: int, seq: LayerSequence, params: Params) -> bool:
-    for i in range(1, j + 1):
-        if not is_consistent_forward(i, seq.walk(i), seq):
-            return False
-    return True
+def forward_bounds(i: int, seq: LayerSequence, params: Params) -> tuple[Walk, Walk]:
+    """Walk interval for layer i given forward-consistent layers 0..i-1."""
+    return forward_interval(i, seq.walks, layer_host(params), params.p)
 
 
 def _profile_choices(
@@ -296,31 +240,35 @@ def depth_first(
     order; a stream yields the states reached below level ``last``.  A count
     stops one level early: ``count_last(last, state)`` counts the choices at
     the last level without listing them.  With ``shards = (index, total)``
-    only the depth-0 children at positions congruent to index modulo total
-    are explored.
+    the tree is first expanded breadth-first until a level holds at least
+    4 * total nodes (or the leaves are reached), and only the nodes of that
+    level at positions congruent to index modulo total are explored.
     """
-
-    def below(depth: int, state: State) -> Iterable[State]:
-        kids = children(depth, state)
-        if depth == 0 and shards is not None:
-            return islice(kids, shards[0], None, shards[1])
-        return kids
 
     def count(depth: int, state: State) -> int:
         if depth == last:
             return count_last(depth, state)
-        return sum(count(depth + 1, kid) for kid in below(depth, state))
+        return sum(count(depth + 1, kid) for kid in children(depth, state))
 
     def stream(depth: int, state: State) -> Iterator[State]:
         if depth > last:
             yield state
             return
-        for kid in below(depth, state):
+        for kid in children(depth, state):
             yield from stream(depth + 1, kid)
 
+    depth, level = 0, [root]
+    if shards is not None:
+        index, total = shards
+        while len(level) < 4 * total and depth <= last:
+            level = [kid for state in level for kid in children(depth, state)]
+            depth += 1
+        level = level[index::total]
     if mode == "count":
-        return count(0, root)
-    return stream(0, root)
+        if depth > last:
+            return len(level)
+        return sum(count(depth, state) for state in level)
+    return (leaf for state in level for leaf in stream(depth, state))
 
 
 def enumerate_all_r3(
@@ -332,8 +280,8 @@ def enumerate_all_r3(
     """Count or stream every 3D ideal of the box, layer by layer.
 
     Stream mode yields tuples of walks indexed by z = 0..n.  With
-    ``shards = (index, total)`` only the top-level branches congruent to
-    index modulo total are explored.
+    ``shards = (index, total)`` only one shard of the search tree is
+    explored (see :func:`depth_first`).
     """
     levels = list(range(params.n, -1, -1))
     if direction == "forward":

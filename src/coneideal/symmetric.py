@@ -4,51 +4,41 @@ The box is peeled into nested shells: shell i is the set of box points with
 all coordinates <= i and at least one equal to i.  A rotation-invariant
 ideal meets shell i in the three rotated copies of a single planar ideal
 J_i of [0,i]^2 whose top row and right column match (the palindrome
-condition).  After accumulating the layers below i into per-height cross
-sections of [0,i-1]^2, the admissible J_i again live between two walks
-S and T; the choice further splits by how far J_i reaches into the last
-two columns (no reach / column i-1 only / column i), each case cut down to
-plain walk intervals by extremal walks through the forced endpoints.
+condition).  The layers below i accumulate into per-height cross sections
+of [0,i-1]^2, read straight off the shell heights, and the forward rule of
+the plain layers (:func:`coneideal.slicing.forward_interval`) applied to
+those sections puts the admissible J_i between two walks S and T.  The
+choice further splits by how far J_i reaches into the last two columns (no
+reach / column i-1 only / column i), each case cut down to plain walk
+intervals by extremal walks through the forced endpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Iterator, Literal, Optional
 
 from .errors import InconsistentInput, NotAnIdeal
-from .order import Params, Point3, precedes3, rotate
+from .order import Params, Point3, rotate
 from .slicing import (
     count_interval,
     depth_first,
     enumerate_interval,
-    transport_upper_bound,
+    forward_interval,
 )
 from .walks import (
-    IdealSet2,
     Rect,
     Walk,
     empty_walk,
     extremal_walk,
     full_walk,
-    ideal_transport,
     join_all,
     largest_avoiding,
     meet_all,
     restrict,
     walk_from_heights,
     walk_leq,
-    walk_of,
 )
-
-
-class LayerReach(IntEnum):
-    """How far a shell layer reaches into its last two columns."""
-
-    INNER = 1  # nothing at x >= i-1
-    EDGE = 2  # column i-1 touched, column i empty
-    CORNER = 3  # column i touched
 
 
 @dataclass
@@ -63,99 +53,60 @@ def shell_host(i: int) -> Rect:
     return Rect(0, i, 0, i)
 
 
-def classify_reach(w: Walk, i: int) -> LayerReach:
-    """Column-reach class of a layer ideal of [0,i]^2."""
-    hs = w.hs
-    c = w.host.c
-    if hs[-1] >= c:
-        return LayerReach.CORNER
-    if i >= 1 and hs[-2] >= c:
-        return LayerReach.EDGE
-    return LayerReach.INNER
-
-
-def is_palindromic(w: Walk, i: int) -> bool:
-    """Top-row occupancy equals right-column occupancy."""
-    hs = w.hs
-    top = max((x for x in range(i + 1) if hs[x] == i), default=-1)
-    right = hs[i] if hs[i] >= 0 else -1
-    return top == right
-
-
-def rotations_of_layer(w: Walk, j: int) -> frozenset[Point3]:
-    """Union of the three rotated copies of a shell layer in 3D."""
-    pts = []
-    for x, y in w.ideal_points():
-        u = (x, y, j)
-        pts.append(u)
-        u = rotate(u)
-        pts.append(u)
-        pts.append(rotate(u))
-    return frozenset(pts)
-
-
 def assembled_points(seq: SymLayerSequence) -> frozenset[Point3]:
+    """3D point set of a shell stack: each layer and its two rotations."""
     out: set[Point3] = set()
     for j, w in enumerate(seq.walks):
-        out |= rotations_of_layer(w, j)
+        for x, y in w.ideal_points():
+            u = (x, y, j)
+            v = rotate(u)
+            out.update((u, v, rotate(v)))
     return frozenset(out)
 
 
-def accumulate_layers(seq: SymLayerSequence, i: int) -> list[IdealSet2]:
+def accumulated_walks(seq: SymLayerSequence, i: int) -> list[Walk]:
     """Per-height cross sections of the union of rotated layers 0..i-1.
 
-    Entry j is the z = j section, an ideal of [0,i-1]^2: the layer J_j plus
-    the points contributed by rotations of the higher layers.
+    Entry s is the walk of the z = s section, an ideal of [0,i-1]^2, read
+    off the shell heights hss[j] of the layers: column x holds
+
+    * rows 0..hss[s][x] of the layer J_s itself (x <= s),
+    * rows 0..#{x' : hss[x][x'] >= s} - 1, the rotated layer J_x (x >= s),
+    * row j for every j >= s with hss[j][s] >= x, the other rotation of J_j.
+
+    Raises InconsistentInput when a column has a gap or the heights are not
+    a closed profile.
     """
-    host = Rect(0, i - 1, 0, i - 1)
-    sections: list[set[tuple[int, int]]] = [set() for _ in range(i)]
-    for j2 in range(i):
-        hs = seq.walks[j2].hs
-        c = seq.walks[j2].host.c
-        for x in range(j2 + 1):
-            h = hs[x]
-            if h < c:
-                continue
-            for y in range(c, h + 1):
-                sections[j2].add((x, y))
-                sections[x].add((y, j2))  # image under one rotation
-                sections[y].add((j2, x))  # image under two rotations
-    return [IdealSet2(host, frozenset(s)) for s in sections]
-
-
-def accumulated_walks(seq: SymLayerSequence, i: int) -> list[Walk]:
     p = seq.params.p
+    host = Rect(0, i - 1, 0, i - 1)
+    hss = [w.hs for w in seq.walks[:i]]
+    # rot[x][s] = #{x' : hss[x][x'] >= s} - 1, row s of the transposed layer x
+    rot = [[sum(v >= s for v in hs) - 1 for s in range(len(hs))] for hs in hss]
     out = []
-    for s in accumulate_layers(seq, i):
+    for s in range(i):
+        heights = list(hss[s]) + [rot[x][s] for x in range(s + 1, i)]
+        heights[s] = max(heights[s], rot[s][s])
+        # row j spans columns 0..hss[j][s]; rows go up one at a time, so a
+        # column below row j - 1 here has a gap
+        for j in range(s, i):
+            for x in range(hss[j][s] + 1):
+                if heights[x] < j - 1:
+                    raise InconsistentInput(f"section {s} has a gap in column {x}")
+                if heights[x] < j:
+                    heights[x] = j
         try:
-            out.append(walk_of(s, p))
+            out.append(walk_from_heights(tuple(heights), host, p))
         except NotAnIdeal as exc:
-            raise InconsistentInput(f"cross section {s} is not an ideal") from exc
+            raise InconsistentInput(
+                f"section {s} heights {heights} are not an ideal"
+            ) from exc
     return out
 
 
-def nonfull_lookback_sym(i: int, cum: list[Walk], params: Params) -> Optional[int]:
-    """Largest t with 1 <= t <= p-1, i-t >= 0, section i-t not full."""
-    for t in range(min(params.p - 1, i), 0, -1):
-        if not cum[i - t].is_full:
-            return t
-    return None
-
-
 def symmetric_bounds(i: int, cum: list[Walk], params: Params) -> tuple[Walk, Walk]:
-    """Walk interval [S, T] for shell layer i from the accumulated sections."""
-    p = params.p
-    host = shell_host(i)
-    lower = ideal_transport(cum[i - 1], 0, -p, host)
-    upper_terms = [transport_upper_bound(cum[i - 1], 0, 0, host)]
-    if i >= p:
-        upper_terms.append(transport_upper_bound(cum[i - p], 1, 0, host))
-    t = nonfull_lookback_sym(i, cum, params)
-    if t is not None:
-        upper_terms.append(
-            transport_upper_bound(cum[i - t], 1, -p * p + p * t, host)
-        )
-    return lower, meet_all(upper_terms)
+    """Walk interval [S, T] for shell layer i: the forward rule applied to
+    the accumulated sections."""
+    return forward_interval(i, cum, shell_host(i), params.p)
 
 
 def _inner_candidates(
@@ -268,83 +219,6 @@ def count_layer_sym(i: int, cum: list[Walk], params: Params) -> int:
     return total
 
 
-def is_consistent_sym(
-    i: int,
-    candidate: Walk,
-    seq: SymLayerSequence,
-    method: Literal["full", "reduced"] = "full",
-) -> bool:
-    """Set-level test that candidate extends the shell stack at level i.
-
-    The full method evaluates the palindrome condition, the downward and
-    upward transport inclusions against every accumulated section, and the
-    two rotated-cone inclusions.  The reduced method drops the first rotated
-    inclusion (implied) and replaces the second by the max-row/max-column
-    comparison that is equivalent once the rest holds.
-    """
-    params = seq.params
-    p = params.p
-    if i == 0:
-        return True
-    if not is_palindromic(candidate, i):
-        return False
-    cum_sets = accumulate_layers(seq, i)
-    cum_walks = accumulated_walks(seq, i)
-    corners = list(candidate.points)
-    hs = candidate.hs
-
-    # candidate pushed down to every lower section
-    for j in range(i):
-        sec = cum_sets[j].points
-        for x in range(i):
-            for y in range(i):
-                if (x, y) in sec:
-                    continue
-                if any(
-                    precedes3((x, y, j), (cx, cy, i), p) for cx, cy in corners
-                ):
-                    return False
-    # every lower section pushed up to the candidate
-    for j in range(i):
-        sec_corners = list(cum_walks[j].points)
-        for x in range(i + 1):
-            for y in range(i + 1):
-                if candidate.contains((x, y)):
-                    continue
-                if any(
-                    precedes3((x, y, i), (cx, cy, j), p) for cx, cy in sec_corners
-                ):
-                    return False
-
-    if method == "reduced":
-        if i >= p:
-            right_top = hs[i - 1]
-            if right_top >= 0:
-                row = max(
-                    (x for x in range(i + 1) if hs[x] >= i - p), default=-1
-                )
-                if right_top > row:
-                    return False
-        return True
-
-    # rotated-cone inclusions, checked literally on the two rotated shells
-    for alpha in range(i + 1):
-        for gamma in range(i + 1):
-            if any(
-                precedes3((alpha, i, gamma), (cx, cy, i), p) for cx, cy in corners
-            ):
-                if not candidate.contains((gamma, alpha)):
-                    return False
-    for beta in range(i + 1):
-        for gamma in range(i + 1):
-            if any(
-                precedes3((i, beta, gamma), (cx, cy, i), p) for cx, cy in corners
-            ):
-                if not candidate.contains((beta, gamma)):
-                    return False
-    return True
-
-
 def enumerate_all_r1(
     params: Params,
     mode: Literal["count", "stream"] = "count",
@@ -352,7 +226,8 @@ def enumerate_all_r1(
 ):
     """Count or stream every rotation-invariant ideal of the box.
 
-    Stream mode yields tuples of shell walks (W_0, ..., W_n).
+    Stream mode yields tuples of shell walks (W_0, ..., W_n); ``shards``
+    works as in :func:`coneideal.slicing.depth_first`.
     """
 
     def children(depth: int, seq: SymLayerSequence) -> Iterator[SymLayerSequence]:

@@ -380,8 +380,10 @@ def highest_extension(z: Walk, big: Rect) -> Walk:
 
     The complement of that ideal is the upward closure of the points of the
     small host just above z, so one threshold per small-host column decides
-    each big-host column height.
+    each big-host column height.  On z's own host that ideal is z.
     """
+    if big == z.host:
+        return z
     if not big.contains_rect(z.host):
         raise HostMismatch(f"{z.host} not inside {big}")
     small = z.host

@@ -23,6 +23,9 @@ from coneideal.oracle import (
     brute_ideals,
     brute_layer_candidates,
     equivalent_transport_conditions,
+    is_consistent_backward,
+    is_consistent_forward,
+    is_consistent_sym,
 )
 from coneideal.order import Params
 from coneideal.slicing import (
@@ -31,8 +34,6 @@ from coneideal.slicing import (
     enumerate_all_r3,
     forward_bounds,
     ideal_transport,
-    is_consistent_backward,
-    is_consistent_forward,
 )
 from coneideal.symmetric import (
     SymLayerSequence,
@@ -40,7 +41,6 @@ from coneideal.symmetric import (
     assembled_points,
     enumerate_all_r1,
     enumerate_layer_sym,
-    is_consistent_sym,
     symmetric_bounds,
 )
 from coneideal.walks import (

@@ -95,13 +95,15 @@ class TestEnumerate:
         assert sorted(parts) == sorted(whole.splitlines())
 
     def test_bad_shard_index(self, capsys):
-        code, _, err = run(
-            capsys,
-            "enumerate", "--p", "2", "--m", "3", "--shards", "2",
-            "--shard", "5", "--count-only",
-        )
-        assert code == 2
-        assert "shard" in err
+        for shards, shard in (("2", "5"), ("-2", "5"), ("1", "3")):
+            code, out, err = run(
+                capsys,
+                "enumerate", "--p", "2", "--m", "3", "--shards", shards,
+                "--shard", shard, "--count-only",
+            )
+            assert code == 2, (shards, shard)
+            assert out == ""
+            assert "shard" in err
 
     def test_emit_to_file(self, capsys, tmp_path):
         target = tmp_path / "out.jsonl"
@@ -247,6 +249,22 @@ class TestVerify:
         )
         assert code == 3
         assert "cap" in err
+
+    @pytest.mark.parametrize(
+        "p,r,sha",
+        [
+            ("3", "1",
+             "0bda9f463aaa8e34f124affb3f25799018f9e12fe1be7b78d476949ba3bd5f9a"),
+            ("2", "3",
+             "dbf00a2d2170d07c17465fa172055de87e596d159dd842fedb51e3b4d6b3dcb5"),
+        ],
+    )
+    def test_pinned_report(self, capsys, p, r, sha):
+        code, out, err = run(capsys, "verify", "--p", p, "--m", "3", "--r", r)
+        assert code == 0
+        assert out.count("\n") == 20
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+        assert err.strip() == "20/20 PASS"
 
 
 class TestRender:

@@ -2,13 +2,14 @@
 
 import json
 
-import pytest
-
 from coneideal.codes import build_code
-from coneideal.errors import InconsistentInput
-from coneideal.oracle import precedes_generic
+from coneideal.oracle import (
+    is_consistent_backward,
+    is_consistent_forward,
+    precedes_generic,
+)
 from coneideal.order import Params, precedes3
-from coneideal.slicing import LayerSequence, backward_bounds, forward_bounds, layer_host
+from coneideal.slicing import LayerSequence, backward_bounds, layer_host
 from coneideal.walks import empty_walk, full_walk
 
 
@@ -29,29 +30,34 @@ class TestGenericCirculant:
 
 
 class TestVerifiedBounds:
+    """Stacks under the bounds, checked layer by layer by the referees."""
+
     def test_backward_rejects_inconsistent_suffix(self):
         params = Params(p=3, m=12, r=3)
         u = layer_host(params)
         walks = {i: empty_walk(u, 3) for i in range(1, 9)}
         walks[8] = full_walk(u, 3)  # full on top of empty: not an ideal
         seq = LayerSequence("backward", params, walks)
-        with pytest.raises(InconsistentInput):
-            backward_bounds(0, seq, params, verify=True)
+        assert not all(
+            is_consistent_backward(i, seq.walk(i), seq) for i in range(1, params.n)
+        )
 
     def test_forward_rejects_inconsistent_prefix(self):
         params = Params(p=3, m=12, r=3)
         u = layer_host(params)
         walks = {0: empty_walk(u, 3), 1: full_walk(u, 3)}
         seq = LayerSequence("forward", params, walks)
-        with pytest.raises(InconsistentInput):
-            forward_bounds(2, seq, params, verify=True)
+        assert not is_consistent_forward(1, seq.walk(1), seq)
 
     def test_verify_accepts_consistent_input(self):
         params = Params(p=3, m=12, r=3)
         u = layer_host(params)
         walks = {i: full_walk(u, 3) for i in range(1, 9)}
         seq = LayerSequence("backward", params, walks)
-        lo, hi = backward_bounds(0, seq, params, verify=True)
+        assert all(
+            is_consistent_backward(i, seq.walk(i), seq) for i in range(1, params.n)
+        )
+        lo, hi = backward_bounds(0, seq, params)
         assert lo.is_full and hi.is_full
 
 

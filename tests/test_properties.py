@@ -9,12 +9,11 @@ import random
 
 import pytest
 
-from coneideal.oracle import all_rect_ideals
+from coneideal.oracle import accumulate_layers, all_rect_ideals
 from coneideal.order import Params, precedes2, precedes3
 from coneideal.slicing import ideal_transport
 from coneideal.symmetric import (
     SymLayerSequence,
-    accumulate_layers,
     accumulated_walks,
     enumerate_layer_sym,
 )

@@ -11,6 +11,8 @@ from coneideal.oracle import (
     brute_ideals,
     brute_layer_candidates,
     equivalent_transport_conditions,
+    is_consistent_backward,
+    is_consistent_forward,
 )
 from coneideal.order import Params
 from coneideal.slicing import (
@@ -18,13 +20,12 @@ from coneideal.slicing import (
     backward_bounds,
     enumerate_all_r3,
     forward_bounds,
-    is_consistent_backward,
-    is_consistent_forward,
     layer_host,
     layers_to_points,
     nonempty_lookahead,
     nonfull_lookback,
 )
+from coneideal.symmetric import enumerate_all_r1
 from coneideal.walks import IdealSet2, Rect, empty_walk, full_walk, walk_leq, walk_of
 
 from conftest import (
@@ -61,7 +62,7 @@ class TestLookahead:
     def test_reference_betas(self, forward_seq):
         _, seq = forward_seq
         for i, beta in FORWARD_BETA.items():
-            assert nonfull_lookback(i, seq) == beta
+            assert nonfull_lookback(i, seq.walks, seq.params.p) == beta
 
     def test_absent_when_all_empty(self):
         params = Params(p=3, m=3, r=3)
@@ -330,3 +331,28 @@ class TestSixWayEquivalence:
             a, b = rng.randint(0, 3), rng.randint(0, 3)
             six = equivalent_transport_conditions(j, k, a, b, p)
             assert len(set(six)) == 1, (p, n, a, b, six)
+
+
+@pytest.mark.parametrize(
+    "p,m,r", [(3, 6, 1), (5, 3, 1), (2, 9, 1), (2, 6, 3), (3, 3, 3)]
+)
+def test_shards_split_both_engines(p, m, r):
+    params = Params(p=p, m=m, r=r)
+    search = enumerate_all_r3 if r == 3 else enumerate_all_r1
+    whole = [tuple(ws) for ws in search(params, mode="stream")]
+    total = search(params, mode="count")
+    assert total == len(whole)
+    for shards in (2, 4, 7):
+        streams = [
+            [tuple(ws) for ws in search(params, mode="stream", shards=(i, shards))]
+            for i in range(shards)
+        ]
+        counts = [
+            search(params, mode="count", shards=(i, shards)) for i in range(shards)
+        ]
+        assert counts == [len(s) for s in streams]
+        assert sum(counts) == total
+        assert all(counts), counts
+        union = [ws for s in streams for ws in s]
+        assert len(set(union)) == len(union)
+        assert set(union) == set(whole)

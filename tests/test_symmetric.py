@@ -6,26 +6,26 @@ import pytest
 
 from coneideal.errors import InconsistentInput
 from coneideal.oracle import (
+    LayerReach,
+    accumulate_layers,
     all_rect_ideals,
     box_poset,
     brute_ideals,
     brute_layer_candidates,
+    classify_reach,
     ideal_3d,
+    is_consistent_sym,
+    is_palindromic,
     rotation_invariant_3d,
 )
 from coneideal.order import Params
 from coneideal.symmetric import (
-    LayerReach,
     SymLayerSequence,
-    accumulate_layers,
     accumulated_walks,
     assembled_points,
-    classify_reach,
     count_layer_sym,
     enumerate_all_r1,
     enumerate_layer_sym,
-    is_consistent_sym,
-    is_palindromic,
     symmetric_bounds,
 )
 from coneideal.walks import (
@@ -79,6 +79,24 @@ class TestAccumulate:
         for j in range(7):
             slice_pts = frozenset((x, y) for (x, y, z) in pts if z == j)
             assert walks[j].ideal_points() == slice_pts
+
+    @pytest.mark.parametrize(
+        "p,m", [(2, 3), (2, 6), (2, 9), (2, 12), (2, 15), (3, 3), (3, 6), (5, 3)]
+    )
+    def test_height_sections_match_point_sets(self, p, m):
+        # every search node of the stream: the shells below depth 1..n
+        params = Params(p=p, m=m, r=1)
+        nodes = {
+            walks[:i]
+            for walks in enumerate_all_r1(params, mode="stream")
+            for i in range(1, params.n + 1)
+        }
+        for shells in nodes:
+            seq = SymLayerSequence(params, list(shells))
+            i = len(shells)
+            assert accumulated_walks(seq, i) == [
+                walk_of(s, p) for s in accumulate_layers(seq, i)
+            ], shells
 
 
 class TestSymmetricBounds:
