@@ -106,18 +106,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _load_ideal(path: str) -> frozenset[tuple[int, int, int]]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    pts = data["points"] if isinstance(data, dict) else data
-    return frozenset((int(x), int(y), int(z)) for x, y, z in pts)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        pts = data["points"] if isinstance(data, dict) else data
+        return frozenset((int(x), int(y), int(z)) for x, y, z in pts)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _CliError(EXIT_BAD_PARAMS, f"cannot parse ideal file: {exc}")
 
 
 def cmd_defining_set(args: argparse.Namespace) -> int:
     params = _params(args)
-    try:
-        ideal = _load_ideal(args.ideal)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        return _fail(EXIT_BAD_PARAMS, f"cannot parse ideal file: {exc}")
+    ideal = _load_ideal(args.ideal)
     reason = violated_condition(ideal, params)
     if reason is not None:
         return _fail(EXIT_NOT_IDEAL, f"input is not an invariant ideal: {reason}")
@@ -175,10 +175,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     params = _params(args)
-    try:
-        ideal = _load_ideal(args.ideal)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        return _fail(EXIT_BAD_PARAMS, f"cannot parse ideal file: {exc}")
+    ideal = _load_ideal(args.ideal)
     out = _open_emit(args)
     try:
         if args.render == "svg":

@@ -115,7 +115,6 @@ class CodeSpec:
     params: Params
     ideal: frozenset[Point3]
     defining_count: int
-    defining: list[int]
     fld: SmallField = field(repr=False)
     element_order: list[int] = field(repr=False)
     rref: list[list[int]] = field(repr=False)
@@ -223,7 +222,6 @@ def build_code(
         params=params,
         ideal=ideal,
         defining_count=preimage_count(ideal, params),
-        defining=defining,
         fld=fld,
         element_order=order,
         rref=rref,
@@ -238,16 +236,6 @@ def in_sum_zero_space(spec: CodeSpec) -> bool:
 
 
 # -- the affine group action --
-
-
-def _coordinate_maps(fld: SmallField):
-    k = fld.k // 3
-    to_coords = {e: fld.coordinates(e, 3) for e in range(fld.order)}
-
-    def from_coords(cs: list[int]) -> int:
-        return fld.from_coordinates(cs, 3)
-
-    return k, to_coords, from_coords
 
 
 def agl_generators(
@@ -267,7 +255,8 @@ def agl_generators(
         fld = SmallField(params.p, params.m, cap=cap_field)
     order = fld.elements_in_order()
     index = {e: i for i, e in enumerate(order)}
-    k, to_coords, from_coords = _coordinate_maps(fld)
+    k = fld.k // 3
+    to_coords = [fld.coordinates(e, 3) for e in range(fld.order)]
     # multiplicative generator of the degree-3 subfield
     theta = fld.exp[(fld.order - 1) // (params.p**3 - 1)]
 
@@ -275,15 +264,13 @@ def agl_generators(
         return tuple(index[fn(e)] for e in order)
 
     gens = []
-    x_elem = params.p if params.m > 1 else 1
-    for t in range(k):
-        basis_vec = fld._raw_pow(x_elem, t)
-        gens.append(perm_of(lambda e, b=basis_vec: fld.add(e, b)))
+    for t in range(k):  # translation by the basis vector x^t, encoded p^t
+        gens.append(perm_of(lambda e, b=params.p**t: fld.add(e, b)))
 
     def scale_first(e: int) -> int:
         cs = to_coords[e][:]
         cs[0] = fld.mul(theta, cs[0])
-        return from_coords(cs)
+        return fld.from_coordinates(cs, 3)
 
     gens.append(perm_of(scale_first))
     if k >= 2:
@@ -291,11 +278,11 @@ def agl_generators(
         def transvect(e: int) -> int:
             cs = to_coords[e][:]
             cs[0] = fld.add(cs[0], cs[1])
-            return from_coords(cs)
+            return fld.from_coordinates(cs, 3)
 
         def shift_basis(e: int) -> int:
             cs = to_coords[e]
-            return from_coords(cs[1:] + cs[:1])
+            return fld.from_coordinates(cs[1:] + cs[:1], 3)
 
         gens.append(perm_of(transvect))
         gens.append(perm_of(shift_basis))
@@ -305,16 +292,16 @@ def agl_generators(
 def verify_invariance(spec: CodeSpec, gens: list[tuple[int, ...]]) -> bool:
     """Whether the code is stable under every generator permutation.
 
-    Checked on the constraint side: each power-sum row pulled back along a
-    generator must stay inside the row space of the expanded system, which
-    is equivalent to the permuted code being contained in the code.
+    The code is the orthogonal complement of the row space R of
+    ``spec.rref``.  Permutation matrices are orthogonal, so a permutation
+    maps the code onto itself exactly when it maps R onto itself.  The rows
+    of ``rref`` are a basis of R, so it suffices that each of them, with its
+    columns permuted, reduces to zero against ``rref``.
     """
-    fld = spec.fld
-    order = spec.element_order
+    fld, rref, pivots = spec.fld, spec.rref, spec.pivots
     for perm in gens:
-        for s in spec.defining:
-            pulled = [fld.power(order[perm[i]], s) for i in range(len(order))]
-            for row in _expand_rows(fld, [pulled], spec.params.r):
-                if any(_reduce_against(fld, spec.rref, spec.pivots, row)):
-                    return False
+        for row in rref:
+            moved = [row[j] for j in perm]
+            if any(_reduce_against(fld, rref, pivots, moved)):
+                return False
     return True

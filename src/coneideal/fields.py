@@ -165,8 +165,8 @@ class SmallField:
         self.modulus = least_irreducible(self.p, self.k)
         self._mod_poly = list(self.modulus) + [1]
         self._build_tables()
-        self._coord_cache: dict[int, list[list[int]]] = {}
-        self._sigma_cache: dict[int, list[int]] = {}
+        # r -> (inverse basis matrix, F_p-basis of GF(p^r))
+        self._coord_cache: dict[int, tuple[list[list[int]], list[int]]] = {}
 
     @property
     def order(self) -> int:
@@ -270,12 +270,13 @@ class SmallField:
         step = (self.order - 1) // (self.p**r - 1)
         return [0] + [self.exp[j * step] for j in range(self.p**r - 1)]
 
-    def _coord_matrix(self, r: int) -> list[list[int]]:
-        """Inverse basis matrix for coordinates over the GF(p^r) power basis.
+    def _coord_matrix(self, r: int) -> tuple[list[list[int]], list[int]]:
+        """Inverse basis matrix for coordinates over the GF(p^r) power basis,
+        and the F_p-basis sigma of the subfield it is built on.
 
-        The basis of GF(p^k) over GF(p) is {sigma_j * x^t} with sigma_j an
-        F_p-basis of the subfield and t < k/r; the returned matrix converts
-        digit vectors to coefficients in that basis (all mod p).
+        The basis of GF(p^k) over GF(p) is {sigma_j * x^t} with t < k/r, where
+        x^t (t < k) is encoded as p^t; the returned matrix converts digit
+        vectors to coefficients in that basis (all mod p).
         """
         cached = self._coord_cache.get(r)
         if cached is not None:
@@ -291,25 +292,18 @@ class SmallField:
             span = {self.add(s, self.mul(e, c)) for s in span for c in range(p)}
             if len(sigma) == r:
                 break
-        x_elem = self.p if self.k > 1 else 1  # the element "x"
-        cols = []
-        for t in range(k // r):
-            xt = self._raw_pow(x_elem, t)
-            for s in sigma:
-                cols.append(_digits(self.mul(s, xt), p, k))
+        cols = [
+            _digits(self.mul(s, p**t), p, k) for t in range(k // r) for s in sigma
+        ]
         # invert the k x k matrix whose columns are cols, over GF(p)
         mat = [[cols[j][i] for j in range(k)] for i in range(k)]
-        inv = _matrix_inverse_mod_p(mat, p)
-        self._coord_cache[r] = inv
-        self._sigma_cache = getattr(self, "_sigma_cache", {})
-        self._sigma_cache[r] = sigma
-        return inv
+        self._coord_cache[r] = (_matrix_inverse_mod_p(mat, p), sigma)
+        return self._coord_cache[r]
 
     def coordinates(self, e: int, r: int) -> list[int]:
         """Coordinates of e over the GF(p^r) power basis {x^t}, as subfield
         elements (length k/r)."""
-        inv = self._coord_matrix(r)
-        sigma = self._sigma_cache[r]
+        inv, sigma = self._coord_matrix(r)
         p, k = self.p, self.k
         vec = _digits(e, p, k)
         sol = [sum(inv[i][j] * vec[j] for j in range(k)) % p for i in range(k)]
@@ -323,10 +317,9 @@ class SmallField:
 
     def from_coordinates(self, coords: list[int], r: int) -> int:
         """Inverse of :meth:`coordinates`."""
-        x_elem = self.p if self.k > 1 else 1
         acc = 0
         for t, c in enumerate(coords):
-            acc = self.add(acc, self.mul(c, self._raw_pow(x_elem, t)))
+            acc = self.add(acc, self.mul(c, self.p**t))
         return acc
 
 

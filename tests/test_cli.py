@@ -198,13 +198,19 @@ class TestDefiningSet:
         assert code == 4
         assert "not an invariant ideal" in err
 
-    def test_unparseable_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "garbage.json"
-        path.write_text("not json at all")
-        code, _, _ = run(
-            capsys, "defining-set", "--p", "2", "--m", "3", "--r", "1", str(path)
+    @pytest.mark.parametrize("kind", ["garbage", "missing"])
+    @pytest.mark.parametrize("command", ["defining-set", "render", "verify"])
+    def test_unparseable_exit_2(self, capsys, tmp_path, command, kind):
+        path = tmp_path / "ideal.json"
+        if kind == "garbage":
+            path.write_text('{"points": [[0, 0, ')
+        flag = ["--ideal"] if command == "verify" else []
+        code, out, err = run(
+            capsys, command, "--p", "2", "--m", "3", "--r", "1", *flag, str(path)
         )
         assert code == 2
+        assert "cannot parse" in err
+        assert out == ""
 
     def test_scan_cap_suppresses_list_keeps_count(self, capsys, example_file):
         code, out, err = run(

@@ -1,8 +1,15 @@
 """Finite-field bridge: digit sums, defining sets, code builds, group action."""
 
+import hashlib
+import random
+
 import pytest
 
 from coneideal.codes import (
+    CodeSpec,
+    _expand_rows,
+    _power_row,
+    _rref,
     agl_generators,
     build_code,
     composition_counts,
@@ -23,6 +30,7 @@ from coneideal.oracle import (
     word_in_code,
 )
 from coneideal.order import Params
+from coneideal.slicing import enumerate_all_r3, layers_to_points
 from coneideal.symmetric import SymLayerSequence, assembled_points, enumerate_all_r1
 
 from conftest import EXAMPLE_DEFINING, EXAMPLE_IDEAL
@@ -39,6 +47,29 @@ def r1_ideals(params):
         assembled_points(SymLayerSequence(params, list(walks)))
         for walks in enumerate_all_r1(params, mode="stream")
     ]
+
+
+def r3_ideals(params):
+    return [layers_to_points(ls) for ls in enumerate_all_r3(params, mode="stream")]
+
+
+def spec_of_exponents(params, defining):
+    """The code cut by the power sums of any exponent list, built the way
+    ``build_code`` builds the code of an ideal's defining set."""
+    fld = SmallField(params.p, params.m)
+    order = fld.elements_in_order()
+    rows = [_power_row(fld, order, s) for s in defining]
+    expanded = _expand_rows(fld, rows, params.r)
+    rref, pivots = _rref(fld, expanded) if expanded else ([], [])
+    return CodeSpec(
+        params=params,
+        ideal=frozenset(),
+        defining_count=len(defining),
+        fld=fld,
+        element_order=order,
+        rref=rref,
+        pivots=pivots,
+    )
 
 
 class TestDigitClassSums:
@@ -224,11 +255,28 @@ class TestAffineGroup:
         assert group_closure_order(agl_generators(P33)) == 702  # 27 * 26
 
     def test_identity_generated(self):
-        gens = agl_generators(P23)
-        n = len(gens[0])
-        assert tuple(range(n)) not in gens or True
-        # closure always contains the identity
-        assert group_closure_order(gens) >= 1
+        for p, m, r in ((2, 3, 1), (3, 3, 1), (2, 6, 1), (3, 6, 1)):
+            identity = tuple(range(p**m))
+            for g in agl_generators(Params(p, m, r)):
+                assert sorted(g) == list(identity)
+                assert g != identity
+
+    @pytest.mark.parametrize(
+        "inst,sha",
+        [
+            ((2, 3, 1),
+             "8ad2f6c027b8b753664c2f5a2e40051abbe1db7f5de275507c17b1b7ea88d8df"),
+            ((3, 3, 1),
+             "a85001220ee03a87fbd3bf6860010a066d025aa56063527d5b7a4c449b7e309c"),
+            ((2, 6, 1),
+             "fab20a93030ddeee9671716aebfcc98a8f2ce25822860eef8418014b2d898b2b"),
+            ((2, 6, 3),
+             "fab20a93030ddeee9671716aebfcc98a8f2ce25822860eef8418014b2d898b2b"),
+        ],
+    )
+    def test_generators_pinned(self, inst, sha):
+        gens = agl_generators(Params(*inst))
+        assert hashlib.sha256(repr(gens).encode()).hexdigest() == sha
 
     def test_all_small_codes_invariant(self):
         for params in (P23, P33):
@@ -242,27 +290,33 @@ class TestAffineGroup:
     def test_non_ideal_defining_set_fails(self):
         # cyclotomic closure of the exponent 3 alone over GF(8): its power
         # sums do not cut an affine-invariant code
-        from coneideal.fields import SmallField
-        from coneideal.codes import _expand_rows, _power_row, _rref, CodeSpec
+        spec = spec_of_exponents(P23, [3, 6, 5])  # the 2-cyclotomic coset of 3 mod 7
+        assert not verify_invariance(spec, agl_generators(P23))
 
-        params = P23
-        fld = SmallField(2, 3)
-        order = fld.elements_in_order()
-        defining = [3, 6, 5]  # the 2-cyclotomic coset of 3 mod 7
-        rows = [_power_row(fld, order, s) for s in defining]
-        expanded = _expand_rows(fld, rows, 1)
-        rref, pivots = _rref(fld, expanded)
-        spec = CodeSpec(
-            params=params,
-            ideal=frozenset(),
-            defining_count=len(defining),
-            defining=defining,
-            fld=fld,
-            element_order=order,
-            rref=rref,
-            pivots=pivots,
-        )
-        assert not verify_invariance(spec, agl_generators(params))
+    def test_matches_codeword_check(self):
+        # exponent sets near the invariant ones: the defining set of a random
+        # ideal with up to two exponents toggled.  Ideals with at most q/4
+        # exponents keep the row reductions cheap.
+        rng = random.Random(4)
+        for inst in ((2, 3, 1), (3, 3, 1), (2, 6, 1), (2, 6, 3)):
+            params = Params(*inst)
+            q = params.p**params.m
+            gens = agl_generators(params)
+            ideals = r1_ideals(params) if params.r == 1 else r3_ideals(params)
+            bases = [
+                set(preimage_list(i, params))
+                for i in ideals
+                if preimage_count(i, params) <= q // 4
+            ]
+            outcomes = set()
+            for _ in range(25):
+                toggled = set(rng.sample(range(q), rng.randint(0, 2)))
+                exps = sorted(rng.choice(bases) ^ toggled)
+                spec = spec_of_exponents(params, exps)
+                got = verify_invariance(spec, gens)
+                assert got == verify_invariance_on_words(spec, gens), (inst, exps)
+                outcomes.add(got)
+            assert outcomes == {True, False}, inst
 
     def test_mutant_ideal_detected(self, example_params):
         broken = frozenset(EXAMPLE_IDEAL - {(3, 0, 0)})
@@ -280,12 +334,7 @@ class TestAffineGroup:
         spec_origin = build_code(frozenset({(0, 0, 0)}), params)
         assert spec_origin.dimension == 63
         assert in_sum_zero_space(spec_origin)
-        from coneideal.slicing import enumerate_all_r3, layers_to_points
-
-        ideals = sorted(
-            (layers_to_points(ls) for ls in enumerate_all_r3(params, mode="stream")),
-            key=len,
-        )
+        ideals = sorted(r3_ideals(params), key=len)
         sample = ideals[:5] + ideals[-5:] + ideals[200:205]
         fps = set()
         for ideal in sample:
