@@ -195,13 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, ideal_arg: bool = False) -> None:
+    def common(
+        sp: argparse.ArgumentParser, ideal_arg: bool = False, emit: bool = True
+    ) -> None:
         sp.add_argument("--p", type=int, required=True, help="prime")
         sp.add_argument("--m", type=int, required=True, help="exponent, 3 | m")
         sp.add_argument("--r", type=int, default=3, choices=(1, 3))
-        sp.add_argument("--emit", default=None, help="output path (default stdout)")
-        sp.add_argument("--cap-field", type=int, default=DEFAULT_FIELD_CAP)
-        sp.add_argument("--cap-scan", type=int, default=DEFAULT_SCAN_CAP)
+        if emit:
+            sp.add_argument("--emit", default=None, help="output path (default stdout)")
         if ideal_arg:
             sp.add_argument("ideal", help="JSON file with a 3D point list")
 
@@ -215,10 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("defining-set", help="exponent set of an ideal's code")
     common(sp, ideal_arg=True)
+    sp.add_argument("--cap-scan", type=int, default=DEFAULT_SCAN_CAP)
     sp.set_defaults(fn=cmd_defining_set)
 
     sp = sub.add_parser("verify", help="build codes and check group invariance")
-    common(sp)
+    common(sp, emit=False)
+    sp.add_argument("--cap-field", type=int, default=DEFAULT_FIELD_CAP)
     sp.add_argument("--ideal", default=None, help="verify one ideal file only")
     sp.set_defaults(fn=cmd_verify)
 

@@ -209,12 +209,9 @@ def build_code(
     reason = violated_condition(ideal, params)
     if reason is not None:
         raise NotInvariant(reason)
-    q = params.p**params.m
-    if q > cap_field:
-        raise CapExceeded(f"field size {q} exceeds cap {cap_field}")
     fld = SmallField(params.p, params.m, cap=cap_field)
     order = fld.elements_in_order()
-    defining = preimage_list(ideal, params, cap=max(q, DEFAULT_SCAN_CAP))
+    defining = preimage_list(ideal, params, cap=max(fld.order, DEFAULT_SCAN_CAP))
     rows = [_power_row(fld, order, s) for s in defining]
     expanded = _expand_rows(fld, rows, params.r)
     rref, pivots = _rref(fld, expanded) if expanded else ([], [])
@@ -239,7 +236,7 @@ def in_sum_zero_space(spec: CodeSpec) -> bool:
 
 
 def agl_generators(
-    params: Params, cap_field: int = DEFAULT_FIELD_CAP, fld: Optional[SmallField] = None
+    params: Params, cap_field: int = DEFAULT_FIELD_CAP
 ) -> list[tuple[int, ...]]:
     """Permutations of the canonical element order generating the affine
     group of the field viewed as a module over its degree-3 subfield.
@@ -248,11 +245,7 @@ def agl_generators(
     of a degree-3-subfield generator on the first coordinate, and (when the
     module rank exceeds one) a transvection and a cyclic basis shift.
     """
-    q = params.p**params.m
-    if q > cap_field:
-        raise CapExceeded(f"field size {q} exceeds cap {cap_field}")
-    if fld is None:
-        fld = SmallField(params.p, params.m, cap=cap_field)
+    fld = SmallField(params.p, params.m, cap=cap_field)
     order = fld.elements_in_order()
     index = {e: i for i, e in enumerate(order)}
     k = fld.k // 3

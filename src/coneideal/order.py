@@ -59,11 +59,8 @@ class Params:
     p: int
     m: int
     r: int = 3
-    e: int = 3
 
     def __post_init__(self) -> None:
-        if self.e != 3:
-            raise OutOfRange("only e = 3 is supported")
         if not is_prime(self.p):
             raise OutOfRange(f"p = {self.p} is not prime")
         if self.m <= 0 or self.m % 3 != 0:

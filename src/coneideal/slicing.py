@@ -14,8 +14,11 @@ interval [lower, upper]:
 
 An undefined term (offset out of range, or no alpha/beta) is simply left
 out of the join/meet.  The forward rule also serves the r = 1 engine, whose
-walks below height i are the cross sections under a shell.  Interval enumeration recurses over column heights in
-lexicographic order, which makes the output stream canonical.
+walks below height i are the cross sections under a shell.  Both transports
+are computed on their target by :mod:`coneideal.walks`.  Interval
+enumeration and counting share one rule for the heights a column admits;
+enumeration recurses over column heights in lexicographic order, which
+makes the output stream canonical.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from .walks import (
     ideal_transport,
     join_all,
     meet_all,
-    restrict,
-    shift,
+    transport_upper_bound,
     walk_leq,
 )
 
@@ -51,7 +53,6 @@ def layer_host(params: Params) -> Rect:
 class LayerSequence:
     """Partial assignment of layer walks, built from one end of the stack."""
 
-    direction: Direction
     params: Params
     walks: dict[int, Walk] = field(default_factory=dict)
 
@@ -61,7 +62,7 @@ class LayerSequence:
     def with_layer(self, i: int, w: Walk) -> "LayerSequence":
         new = dict(self.walks)
         new[i] = w
-        return LayerSequence(self.direction, self.params, new)
+        return LayerSequence(self.params, new)
 
 
 def nonempty_lookahead(i: int, seq: LayerSequence) -> Optional[int]:
@@ -81,17 +82,6 @@ def nonfull_lookback(
         if not below[i - t].is_full:
             return t
     return None
-
-
-def transport_upper_bound(z: Walk, dx: int, dy: int, target: Rect) -> Walk:
-    """Largest walk w over target with transport(w, dx, dy) below z.
-
-    Inverse of :func:`coneideal.walks.ideal_transport`: the highest extension
-    of z restricted to the shifted window and translated back.
-    """
-    window = target.shifted(dx, dy)
-    big = z.host.union(window)
-    return shift(restrict(highest_extension(z, big), window), -dx, -dy)
 
 
 def backward_bounds(i: int, seq: LayerSequence, params: Params) -> tuple[Walk, Walk]:
@@ -148,8 +138,12 @@ def _profile_choices(
     hi: tuple[int, ...],
     host: Rect,
     p: int,
+    back: Optional[int],
 ) -> range:
-    """Admissible heights for one column given the previous column."""
+    """Admissible heights for one column given the previous column and the
+    column ``back`` p places to the left (None near the left edge).  No run
+    below the top edge is wider than p columns, so while ``back`` is below
+    the top edge the column is lower than ``back`` or empty."""
     c = host.c
     p2 = p * p
     vmin = lo[x_rel]
@@ -158,6 +152,8 @@ def _profile_choices(
         vmax = min(vmax, prev)
         if prev - p2 >= c:
             vmin = max(vmin, prev - p2)
+    if back is not None and back < host.d:
+        vmax = min(vmax, max(back, c) - 1)
     return range(vmin, vmax + 1)
 
 
@@ -172,7 +168,6 @@ def enumerate_interval(lower: Walk, upper: Walk) -> Iterator[Walk]:
     host, p = lower.host, lower.p
     lo, hi = lower.hs, upper.hs
     width = host.width
-    c, d = host.c, host.d
     acc: list[int] = []
 
     def rec(x: int) -> Iterator[Walk]:
@@ -181,9 +176,7 @@ def enumerate_interval(lower: Walk, upper: Walk) -> Iterator[Walk]:
             return
         prev = acc[x - 1] if x > 0 else None
         back = acc[x - p] if x >= p else None
-        for v in _profile_choices(x, prev, lo, hi, host, p):
-            if v >= c and back is not None and back < d and v > back - 1:
-                continue
+        for v in _profile_choices(x, prev, lo, hi, host, p, back):
             acc.append(v)
             yield from rec(x + 1)
             acc.pop()
@@ -198,7 +191,6 @@ def count_interval(lower: Walk, upper: Walk) -> int:
     host, p = lower.host, lower.p
     lo, hi = lower.hs, upper.hs
     width = host.width
-    c, d = host.c, host.d
     cache: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def rec(x: int, window: tuple[int, ...]) -> int:
@@ -212,9 +204,7 @@ def count_interval(lower: Walk, upper: Walk) -> int:
         prev = window[-1] if window else None
         back = window[0] if x >= p else None
         total = 0
-        for v in _profile_choices(x, prev, lo, hi, host, p):
-            if v >= c and back is not None and back < d and v > back - 1:
-                continue
+        for v in _profile_choices(x, prev, lo, hi, host, p, back):
             total += rec(x + 1, (window + (v,))[-p:])
         cache[key] = total
         return total
@@ -297,7 +287,7 @@ def enumerate_all_r3(
         return count_interval(*bounds(levels[depth], seq, params))
 
     found = depth_first(
-        LayerSequence(direction, params), params.n, children, count_last, mode, shards
+        LayerSequence(params), params.n, children, count_last, mode, shards
     )
     if mode == "count":
         return found

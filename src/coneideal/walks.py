@@ -12,10 +12,10 @@ for a trailing step).
 Everything here is exact integer arithmetic.  A walk is stored as its
 height profile, and its corner sequence is derived only when asked for
 (serialization and validation).  Walks are immutable; the host rectangle
-and the prime travel with the walk so host mismatches are detectable.  The
-two extension operations realize their semantic contracts (largest/smallest
-ideal of a bigger rectangle with a prescribed restriction) by per-column
-threshold formulas rather than point-set searches.
+and the prime travel with the walk so host mismatches are detectable.  Two
+per-column threshold kernels, the cone closure of a point list and the
+complement of an upward closure, compute both cone transports straight on
+their target; the extensions to a bigger rectangle are the zero shifts.
 """
 
 from __future__ import annotations
@@ -54,14 +54,6 @@ class Rect:
             and other.b <= self.b
             and self.c <= other.c
             and other.d <= self.d
-        )
-
-    def union(self, other: "Rect") -> "Rect":
-        return Rect(
-            min(self.a, other.a),
-            max(self.b, other.b),
-            min(self.c, other.c),
-            max(self.d, other.d),
         )
 
     def points(self) -> Iterator[Point2]:
@@ -360,47 +352,48 @@ def _avoid_up_heights(excluded: list[Point2], big: Rect, p: int) -> tuple[int, .
     return tuple(hs)
 
 
-def lowest_extension(z: Walk, big: Rect) -> Walk:
-    """Walk of the smallest ideal of ``big`` restricting to z's ideal.
+def ideal_transport(w: Walk, dx: int, dy: int, target: Rect) -> Walk:
+    """Walk of [(ideal of w) + cone + (dx, dy)] intersected with target.
 
-    This is the cone closure of the ideal inside the bigger rectangle; the
-    closure is generated by the top right point of each run of equal
-    heights, which dominates its run coordinatewise.
+    The ideal is generated by the top right point of each run of equal
+    heights, which dominates its run coordinatewise; the cone order is
+    translation invariant, so the moved generators close the moved ideal,
+    read straight on the target's columns.
     """
+    a, c = w.host.a, w.host.c
+    hs = w.hs + (c - 1,)
+    tops = [
+        (a + i + dx, h + dy) for i, h in enumerate(hs[:-1]) if h >= c and hs[i + 1] < h
+    ]
+    return Walk(target, w.p, _reach_down_heights(tops, target, w.p))
+
+
+def transport_upper_bound(z: Walk, dx: int, dy: int, target: Rect) -> Walk:
+    """Largest walk over target whose transport by (dx, dy), read on z's
+    host, lies in z: its ideal avoids the upward closure of the points of
+    z's host just above z, moved back by (-dx, -dy)."""
+    a, d = z.host.a, z.host.d
+    excluded = [(a + i - dx, h + 1 - dy) for i, h in enumerate(z.hs) if h < d]
+    return Walk(target, z.p, _avoid_up_heights(excluded, target, z.p))
+
+
+def lowest_extension(z: Walk, big: Rect) -> Walk:
+    """Walk of the smallest ideal of ``big`` restricting to z's ideal: the
+    cone closure of the ideal inside the bigger rectangle."""
     if not big.contains_rect(z.host):
         raise HostMismatch(f"{z.host} not inside {big}")
-    a, c = z.host.a, z.host.c
-    hs = z.hs + (c - 1,)
-    tops = [(a + i, h) for i, h in enumerate(hs[:-1]) if h >= c and hs[i + 1] < h]
-    return Walk(big, z.p, _reach_down_heights(tops, big, z.p))
+    return ideal_transport(z, 0, 0, big)
 
 
 def highest_extension(z: Walk, big: Rect) -> Walk:
-    """Walk of the largest ideal of ``big`` restricting to z's ideal.
-
-    The complement of that ideal is the upward closure of the points of the
-    small host just above z, so one threshold per small-host column decides
-    each big-host column height.  On z's own host that ideal is z.
-    """
+    """Walk of the largest ideal of ``big`` restricting to z's ideal: the
+    complement of the upward closure of the points of z's host just above
+    z.  On z's own host that ideal is z."""
     if big == z.host:
         return z
     if not big.contains_rect(z.host):
         raise HostMismatch(f"{z.host} not inside {big}")
-    small = z.host
-    excluded = [(small.a + i, h + 1) for i, h in enumerate(z.hs) if h < small.d]
-    return Walk(big, z.p, _avoid_up_heights(excluded, big, z.p))
-
-
-def ideal_transport(w: Walk, dx: int, dy: int, target: Rect) -> Walk:
-    """Walk of [(ideal of w) + cone + (dx, dy)] intersected with target.
-
-    Computed as restrict(lowest_extension(shift(w, dx, dy), big), target)
-    where big covers both the shifted host and the target; the result does
-    not depend on the choice of big.
-    """
-    moved = shift(w, dx, dy)
-    big = moved.host.union(target)
-    return restrict(lowest_extension(moved, big), target)
+    return transport_upper_bound(z, 0, 0, big)
 
 
 def smallest_containing(pt: Point2, host: Rect, p: int) -> Walk:

@@ -143,7 +143,7 @@ def _exhaustive_bounds(p: int, n: int, direction: str) -> int:
         if not 0 <= i <= n:
             return
         nodes += 1
-        seq = LayerSequence(direction, params, {h: walks[k] for h, k in assigned.items()})
+        seq = LayerSequence(params, {h: walks[k] for h, k in assigned.items()})
         if direction == "backward":
             lo, hi = backward_bounds(i, seq, params)
         else:
@@ -325,7 +325,7 @@ def test_criterion_8_reference_replays(announce):
     with criterion(announce, 8, "reference slicing runs replay inside their bounds", 60.0):
         # backward run, p=3, n=8
         params_b = Params(p=3, m=12, r=3)
-        seq_b = LayerSequence("backward", params_b, backward_walks())
+        seq_b = LayerSequence(params_b, backward_walks())
         for i in range(7, -1, -1):
             lo, hi = backward_bounds(i, seq_b, params_b)
             assert lo.points == BACKWARD_X[i]
@@ -334,7 +334,7 @@ def test_criterion_8_reference_replays(announce):
             assert is_consistent_backward(i, seq_b.walk(i), seq_b)
         # forward run, p=3, n=6
         params_f = Params(p=3, m=9, r=3)
-        seq_f = LayerSequence("forward", params_f, forward_walks())
+        seq_f = LayerSequence(params_f, forward_walks())
         for i in range(1, 7):
             lo, hi = forward_bounds(i, seq_f, params_f)
             if i in FORWARD_X:

@@ -314,6 +314,27 @@ class TestRender:
             assert sec == {(y, zz) for (x, y, zz) in EXAMPLE_IDEAL if x == z}
 
 
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        ("enumerate", "--cap-field"),
+        ("enumerate", "--cap-scan"),
+        ("defining-set", "--cap-field"),
+        ("verify", "--emit"),
+        ("verify", "--cap-scan"),
+        ("render", "--cap-field"),
+        ("render", "--cap-scan"),
+    ],
+)
+def test_option_the_command_does_not_read(capsys, example_file, command, option):
+    # each command takes only the options it reads; any other is a usage error
+    ideal = [example_file] if command in ("defining-set", "render") else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--p", "3", "--m", "6", "--r", "1", option, "10", *ideal])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
 class TestRoundTrip:
     def test_stream_walks_parse_back(self, capsys):
         from coneideal.walks import walk_from_obj, validate_walk

@@ -228,6 +228,18 @@ class TestBuildCode:
         with pytest.raises(NotInvariant):
             build_code(frozenset({(1, 0, 0)}), P23)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda params: build_code(frozenset(), params, cap_field=100),
+            lambda params: agl_generators(params, cap_field=100),
+        ],
+        ids=["build_code", "agl_generators"],
+    )
+    def test_field_cap(self, build):
+        with pytest.raises(CapExceeded, match="^field size 729 exceeds cap 100$"):
+            build(Params(p=3, m=6, r=1))
+
     def test_monotone_dimensions(self):
         ideals = sorted(r1_ideals(P23), key=len)
         specs = [build_code(i, P23) for i in ideals]
@@ -350,7 +362,7 @@ class TestAffineGroup:
         # conjugated coordinate map at p=2, m=6
         params = Params(p=2, m=6, r=1)
         fld = SmallField(2, 6)
-        gens = agl_generators(params, fld=fld)
+        gens = agl_generators(params)
         order = fld.elements_in_order()
         index = {e: i for i, e in enumerate(order)}
         # conjugate the whole generator set by multiplication with a unit:

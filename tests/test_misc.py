@@ -37,7 +37,7 @@ class TestVerifiedBounds:
         u = layer_host(params)
         walks = {i: empty_walk(u, 3) for i in range(1, 9)}
         walks[8] = full_walk(u, 3)  # full on top of empty: not an ideal
-        seq = LayerSequence("backward", params, walks)
+        seq = LayerSequence(params, walks)
         assert not all(
             is_consistent_backward(i, seq.walk(i), seq) for i in range(1, params.n)
         )
@@ -46,14 +46,14 @@ class TestVerifiedBounds:
         params = Params(p=3, m=12, r=3)
         u = layer_host(params)
         walks = {0: empty_walk(u, 3), 1: full_walk(u, 3)}
-        seq = LayerSequence("forward", params, walks)
+        seq = LayerSequence(params, walks)
         assert not is_consistent_forward(1, seq.walk(1), seq)
 
     def test_verify_accepts_consistent_input(self):
         params = Params(p=3, m=12, r=3)
         u = layer_host(params)
         walks = {i: full_walk(u, 3) for i in range(1, 9)}
-        seq = LayerSequence("backward", params, walks)
+        seq = LayerSequence(params, walks)
         assert all(
             is_consistent_backward(i, seq.walk(i), seq) for i in range(1, params.n)
         )

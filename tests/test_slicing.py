@@ -44,13 +44,13 @@ from conftest import (
 @pytest.fixture(scope="module")
 def backward_seq():
     params = Params(p=3, m=12, r=3)
-    return params, LayerSequence("backward", params, backward_walks())
+    return params, LayerSequence(params, backward_walks())
 
 
 @pytest.fixture(scope="module")
 def forward_seq():
     params = Params(p=3, m=9, r=3)
-    return params, LayerSequence("forward", params, forward_walks())
+    return params, LayerSequence(params, forward_walks())
 
 
 class TestLookahead:
@@ -67,9 +67,7 @@ class TestLookahead:
     def test_absent_when_all_empty(self):
         params = Params(p=3, m=3, r=3)
         u = layer_host(params)
-        seq = LayerSequence(
-            "backward", params, {1: empty_walk(u, 3), 2: empty_walk(u, 3)}
-        )
+        seq = LayerSequence(params, {1: empty_walk(u, 3), 2: empty_walk(u, 3)})
         assert nonempty_lookahead(0, seq) is None
 
 
@@ -89,16 +87,14 @@ class TestBackwardBounds:
 
     def test_top_layer_unconstrained(self):
         params = Params(p=2, m=6, r=3)
-        seq = LayerSequence("backward", params)
+        seq = LayerSequence(params)
         lo, hi = backward_bounds(params.n, seq, params)
         assert lo.is_empty and hi.is_full
 
     def test_full_layers_force_full(self):
         params = Params(p=2, m=6, r=3)
         u = layer_host(params)
-        seq = LayerSequence(
-            "backward", params, {i: full_walk(u, 2) for i in (1, 2)}
-        )
+        seq = LayerSequence(params, {i: full_walk(u, 2) for i in (1, 2)})
         lo, hi = backward_bounds(0, seq, params)
         assert lo.is_full and hi.is_full
 
@@ -107,9 +103,7 @@ class TestBackwardBounds:
         # upper layers leave the next layer unconstrained
         params = Params(p=3, m=3, r=3)
         u = layer_host(params)
-        seq = LayerSequence(
-            "backward", params, {i: empty_walk(u, 3) for i in (1, 2)}
-        )
+        seq = LayerSequence(params, {i: empty_walk(u, 3) for i in (1, 2)})
         lo, hi = backward_bounds(0, seq, params)
         assert lo.is_empty and hi.is_full
 
@@ -131,21 +125,21 @@ class TestForwardBounds:
 
     def test_bottom_layer_unconstrained(self):
         params = Params(p=2, m=6, r=3)
-        seq = LayerSequence("forward", params)
+        seq = LayerSequence(params)
         lo, hi = forward_bounds(0, seq, params)
         assert lo.is_empty and hi.is_full
 
     def test_empty_previous_layer_forces_empty(self):
         params = Params(p=2, m=6, r=3)
         u = layer_host(params)
-        seq = LayerSequence("forward", params, {0: empty_walk(u, 2)})
+        seq = LayerSequence(params, {0: empty_walk(u, 2)})
         lo, hi = forward_bounds(1, seq, params)
         assert lo.is_empty and hi.is_empty
 
     def test_small_box_containment_only(self):
         params = Params(p=3, m=3, r=3)
         u = layer_host(params)
-        seq = LayerSequence("forward", params, {0: full_walk(u, 3)})
+        seq = LayerSequence(params, {0: full_walk(u, 3)})
         lo, hi = forward_bounds(1, seq, params)
         assert lo.is_empty and hi.is_full
 
@@ -165,9 +159,7 @@ def _sound_bounds_everywhere(p: int, n: int, direction: str) -> int:
         if i < 0 or i > n:
             return
         nodes += 1
-        seq = LayerSequence(
-            direction, params, {h: walks[k] for h, k in assigned.items()}
-        )
+        seq = LayerSequence(params, {h: walks[k] for h, k in assigned.items()})
         if direction == "backward":
             lo, hi = backward_bounds(i, seq, params)
             ok = {
@@ -219,9 +211,7 @@ class TestBoundsSoundness:
             top = rng.choice(ideals)
             prefix = {2: top}
             cands = brute_layer_candidates("backward", prefix, 1, params)
-            seq = LayerSequence(
-                "backward", params, {2: walk_of(IdealSet2(u, top), 2)}
-            )
+            seq = LayerSequence(params, {2: walk_of(IdealSet2(u, top), 2)})
             lo, hi = backward_bounds(1, seq, params)
             fast = {
                 frozenset(w.ideal_points())

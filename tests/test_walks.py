@@ -1,5 +1,5 @@
 """Walk calculus: validation, the boundary bijection, lattice ops,
-restriction, shift, extensions and extremal walks."""
+restriction, shift, transports, extensions and extremal walks."""
 
 import random
 from itertools import islice
@@ -15,6 +15,7 @@ from coneideal.errors import (
     NotAnIdeal,
 )
 from coneideal.oracle import all_rect_ideals, brute_extension
+from coneideal.order import precedes2
 from coneideal.slicing import enumerate_interval
 from coneideal.walks import (
     IdealSet2,
@@ -24,11 +25,13 @@ from coneideal.walks import (
     full_walk,
     highest_extension,
     ideal_of,
+    ideal_transport,
     join,
     lowest_extension,
     meet,
     restrict,
     shift,
+    transport_upper_bound,
     validate_walk,
     walk_from_corners,
     walk_from_heights,
@@ -350,6 +353,56 @@ class TestExtensionIdentityChain:
             assert lowest_extension(lowest_extension(z, u2), u1) == lowest_extension(z, u1)
             assert restrict(highest_extension(z, u2), u3) == z
             assert restrict(lowest_extension(z, u2), u3) == z
+
+
+def _transport_targets(h: Rect) -> tuple[Rect, ...]:
+    """The host, a rectangle inside it, one covering it, one overlapping
+    it, and two outside it (below right and above left)."""
+    return (
+        h,
+        Rect(h.a + 1, h.b, h.c, h.d - 1),
+        Rect(h.a - 1, h.b + 2, h.c - 2, h.d + 1),
+        Rect(h.a + 1, h.b + 3, h.c + 1, h.d + 4),
+        Rect(h.b + 1, h.b + 3, h.c - 5, h.c - 1),
+        Rect(h.a - 3, h.a - 1, h.d + 1, h.d + 3),
+    )
+
+
+class TestTransports:
+    """Both transports against their point-set definitions, for every ideal
+    of a few small hosts."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize(
+        "host", [Rect(0, 2, 0, 2), Rect(0, 3, 0, 1), Rect(1, 2, -1, 2)], ids=str
+    )
+    def test_against_point_sets(self, p, host):
+        dys = sorted({-p * p, -p * p + p, -p, -1, 0, 1})
+        shifts = [(dx, dy) for dx in (-1, 0, 1, 2) for dy in dys]
+        targets = _transport_targets(host)
+        for pts in all_rect_ideals(host, p):
+            w = walk_of(IdealSet2(host, pts), p)
+            missing = [m for m in host.points() if m not in pts]
+            for dx, dy in shifts:
+                for target in targets:
+                    reached = frozenset(
+                        q
+                        for q in target.points()
+                        if any(precedes2(q, (ux + dx, uy + dy), p) for ux, uy in pts)
+                    )
+                    allowed = frozenset(
+                        q
+                        for q in target.points()
+                        if not any(
+                            precedes2(m, (q[0] + dx, q[1] + dy), p) for m in missing
+                        )
+                    )
+                    assert ideal_transport(w, dx, dy, target) == walk_of(
+                        IdealSet2(target, reached), p
+                    )
+                    assert transport_upper_bound(w, dx, dy, target) == walk_of(
+                        IdealSet2(target, allowed), p
+                    )
 
 
 class TestExtremalWalks:
