@@ -7,6 +7,15 @@ over GF(p^m), read as a linear system over the coefficient field GF(p^r) by
 expanding each constraint into coordinates over a subfield basis.  Dimension
 and distinctness always come from exact row reduction; nothing is inferred
 from defining-set sizes.
+
+For a word over GF(p^r) the constraint of s p^r is the p^r-th power of the
+constraint of s, so the coordinate rows of s span those of its whole orbit
+{s, s p^r, s p^{2r}, ...} (the trace description of subfield subcodes:
+Delsarte, IEEE Trans. IT 21, 1975).  The defining set of an invariant ideal
+is a union of such orbits, and only the least exponent of each is expanded.
+Rows are numpy arrays reduced with the subfield tables of
+:class:`~coneideal.fields.Subfield`; invariance and the sum-zero property
+are each one matrix identity over GF(p^r) (:func:`_reduce_against`).
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapExceeded, NotInvariant, OutOfRange
-from .fields import DEFAULT_FIELD_CAP, SmallField
+from .fields import DEFAULT_FIELD_CAP, SmallField, Subfield, shared_field
 from .order import Params, Point3, precedes3, rotate
 
 DEFAULT_SCAN_CAP = 10**7
@@ -110,14 +119,15 @@ def is_invariant_ideal(ideal: frozenset[Point3], params: Params) -> bool:
 
 @dataclass
 class CodeSpec:
-    """A built code: defining data plus the expanded constraint system."""
+    """A built code: defining data plus the reduced constraint system, whose
+    ``rref`` holds field encodings of GF(p^r) elements (rank x p^m)."""
 
     params: Params
     ideal: frozenset[Point3]
     defining_count: int
     fld: SmallField = field(repr=False)
     element_order: list[int] = field(repr=False)
-    rref: list[list[int]] = field(repr=False)
+    rref: np.ndarray = field(repr=False)
     pivots: list[int] = field(repr=False)
 
     @property
@@ -125,7 +135,7 @@ class CodeSpec:
         return len(self.element_order) - len(self.pivots)
 
     def fingerprint(self) -> tuple:
-        return tuple(tuple(row) for row in self.rref)
+        return tuple(map(tuple, self.rref.tolist()))
 
     def summary(self) -> dict:
         """JSON-ready digest of the built code."""
@@ -139,65 +149,87 @@ class CodeSpec:
         }
 
 
-def _power_row(fld: SmallField, order: Sequence[int], s: int) -> list[int]:
-    return [fld.power(g, s) for g in order]
+def _orbit_leaders(defining: Sequence[int], params: Params) -> np.ndarray:
+    """The least exponent of each orbit {s, s p^r, s p^{2r}, ...} of an
+    orbit-closed exponent list.  Multiplying by p^r mod p^m - 1 rotates the
+    m base-p digits by r places, which also keeps 0 and p^m - 1 apart."""
+    p, m, r = params.p, params.m, params.r
+    exps = np.array(defining, dtype=np.int64)
+    low = p ** (m - r)
+    keep = np.ones(len(exps), dtype=bool)
+    turned = exps
+    for _ in range(m // r - 1):
+        turned = turned % low * p**r + turned // low
+        keep &= exps <= turned
+    return exps[keep]
 
 
-def _expand_rows(
-    fld: SmallField, rows: list[list[int]], r: int
-) -> list[list[int]]:
-    """Split GF(p^m)-valued rows into k/r coordinate rows over GF(p^r)."""
-    coord_cache: dict[int, list[int]] = {}
-
-    def coords(e: int) -> list[int]:
-        got = coord_cache.get(e)
-        if got is None:
-            got = fld.coordinates(e, r)
-            coord_cache[e] = got
-        return got
-
-    out = []
-    width = fld.k // r
-    for row in rows:
-        cols = [coords(e) for e in row]
-        for t in range(width):
-            out.append([c[t] for c in cols])
-    return out
+def _power_row(fld: SmallField, s: int) -> np.ndarray:
+    """g^s for g in the canonical element order, with 0^0 = 1."""
+    group = fld.order - 1
+    powers = fld.exp_array[np.arange(group, dtype=np.int64) * s % group]
+    return np.concatenate(([int(s == 0)], powers))
 
 
-def _rref(fld: SmallField, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over the subfield containing all entries."""
-    mat = [row[:] for row in rows]
+def _expand_rows(fld: SmallField, rows: Sequence[np.ndarray], r: int) -> np.ndarray:
+    """Split GF(p^m)-valued rows into k/r coordinate rows over GF(p^r), as
+    field encodings, the k/r rows of each input row consecutive."""
+    sub = fld.subfield(r)
+    p, k = fld.p, fld.k
+    mat = np.array(rows, dtype=np.int64).reshape(len(rows), fld.order)
+    digits = mat[:, :, None] // p ** np.arange(k) % p
+    coords = (digits @ sub.split.T % p).reshape(*mat.shape, k // r, r)
+    sub_rows = sub.elements[sub.from_coords[coords @ p ** np.arange(r)]]
+    return sub_rows.transpose(0, 2, 1).reshape(-1, fld.order)
+
+
+def _rref(
+    fld: SmallField, rows: np.ndarray, r: int
+) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(p^r) of rows of its field encodings,
+    and the pivot columns.
+
+    Elimination runs on subfield indices through the add/mul tables.  A
+    pivot updates only the rows nonzero in its column, and only from that
+    column on: the pivot row is zero before it.
+    """
+    sub = fld.subfield(r)
+    mat = sub.index(rows)
     pivots: list[int] = []
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if piv is None:
+    for col in range(mat.shape[1]):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
+        below = np.flatnonzero(mat[rank:, col])
+        if not below.size:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = fld.inv(mat[rank][col])
-        mat[rank] = [fld.mul(inv, v) for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [
-                    fld.sub(a, fld.mul(f, b)) for a, b in zip(mat[i], mat[rank])
-                ]
+        mat[[rank, rank + below[0]]] = mat[[rank + below[0], rank]]
+        prow = sub.mul[sub.inv[mat[rank, col]], mat[rank, col:]]
+        mat[rank, col:] = prow
+        hit = np.flatnonzero(mat[:, col])
+        hit = hit[hit != rank]
+        factor = sub.neg[mat[hit, col]]
+        mat[hit, col:] = sub.add[mat[hit, col:], sub.mul[factor[:, None], prow]]
         pivots.append(col)
-        rank += 1
-    return mat[:rank], pivots
+    return sub.elements[mat[: len(pivots)]], pivots
+
+
+def _fp_coordinates(sub: Subfield, mat: np.ndarray) -> np.ndarray:
+    """F_p-coordinates of a matrix of subfield encodings: (r, rows, cols)."""
+    return sub.coords.T[:, sub.index(mat)]
 
 
 def _reduce_against(
-    fld: SmallField, rref: list[list[int]], pivots: list[int], row: list[int]
-) -> list[int]:
-    out = row[:]
-    for rrow, col in zip(rref, pivots):
-        f = out[col]
-        if f:
-            out = [fld.sub(a, fld.mul(f, b)) for a, b in zip(out, rrow)]
-    return out
+    sub: Subfield, rref: np.ndarray, pivots: list[int], moved: np.ndarray
+) -> np.ndarray:
+    """The residue moved - moved[:, pivots] . rref over GF(p^r), all three on
+    F_p-coordinates (:func:`_fp_coordinates`).  It is zero exactly when every
+    row of ``moved`` lies in the row space of the echelon form ``rref``.
+    The product is r^2 integer matrix products mod p, combined by the
+    structure constants of the coordinate basis."""
+    lead = moved[:, :, pivots]
+    prods = np.array([[a @ b for b in rref] for a in lead])
+    return (moved - np.einsum("abc,abij->cij", sub.structure, prods)) % sub.p
 
 
 def build_code(
@@ -209,27 +241,28 @@ def build_code(
     reason = violated_condition(ideal, params)
     if reason is not None:
         raise NotInvariant(reason)
-    fld = SmallField(params.p, params.m, cap=cap_field)
-    order = fld.elements_in_order()
+    fld = shared_field(params.p, params.m, cap=cap_field)
     defining = preimage_list(ideal, params, cap=max(fld.order, DEFAULT_SCAN_CAP))
-    rows = [_power_row(fld, order, s) for s in defining]
-    expanded = _expand_rows(fld, rows, params.r)
-    rref, pivots = _rref(fld, expanded) if expanded else ([], [])
+    rows = [_power_row(fld, s) for s in _orbit_leaders(defining, params)]
+    rref, pivots = _rref(fld, _expand_rows(fld, rows, params.r), params.r)
     return CodeSpec(
         params=params,
         ideal=ideal,
         defining_count=preimage_count(ideal, params),
         fld=fld,
-        element_order=order,
+        element_order=fld.elements_in_order(),
         rref=rref,
         pivots=pivots,
     )
 
 
 def in_sum_zero_space(spec: CodeSpec) -> bool:
-    """Whether every codeword has coordinate sum zero."""
-    ones = [1] * len(spec.element_order)
-    return not any(_reduce_against(spec.fld, spec.rref, spec.pivots, ones))
+    """Whether every codeword has coordinate sum zero: the all-ones row lies
+    in the row space of the constraints."""
+    sub = spec.fld.subfield(spec.params.r)
+    ones = _fp_coordinates(sub, np.ones((1, len(spec.element_order)), dtype=np.int64))
+    coords = _fp_coordinates(sub, spec.rref)
+    return not _reduce_against(sub, coords, spec.pivots, ones).any()
 
 
 # -- the affine group action --
@@ -245,7 +278,7 @@ def agl_generators(
     of a degree-3-subfield generator on the first coordinate, and (when the
     module rank exceeds one) a transvection and a cyclic basis shift.
     """
-    fld = SmallField(params.p, params.m, cap=cap_field)
+    fld = shared_field(params.p, params.m, cap=cap_field)
     order = fld.elements_in_order()
     index = {e: i for i, e in enumerate(order)}
     k = fld.k // 3
@@ -254,31 +287,18 @@ def agl_generators(
     theta = fld.exp[(fld.order - 1) // (params.p**3 - 1)]
 
     def perm_of(fn) -> tuple[int, ...]:
-        return tuple(index[fn(e)] for e in order)
+        """The permutation made by a map of coordinate vectors."""
+        return tuple(index[fld.from_coordinates(fn(to_coords[e]), 3)] for e in order)
 
-    gens = []
-    for t in range(k):  # translation by the basis vector x^t, encoded p^t
-        gens.append(perm_of(lambda e, b=params.p**t: fld.add(e, b)))
-
-    def scale_first(e: int) -> int:
-        cs = to_coords[e][:]
-        cs[0] = fld.mul(theta, cs[0])
-        return fld.from_coordinates(cs, 3)
-
-    gens.append(perm_of(scale_first))
+    # translation by the basis vector x^t adds 1 to coordinate t
+    gens = [
+        perm_of(lambda cs, t=t: cs[:t] + [fld.add(cs[t], 1)] + cs[t + 1 :])
+        for t in range(k)
+    ]
+    gens.append(perm_of(lambda cs: [fld.mul(theta, cs[0])] + cs[1:]))
     if k >= 2:
-
-        def transvect(e: int) -> int:
-            cs = to_coords[e][:]
-            cs[0] = fld.add(cs[0], cs[1])
-            return fld.from_coordinates(cs, 3)
-
-        def shift_basis(e: int) -> int:
-            cs = to_coords[e]
-            return fld.from_coordinates(cs[1:] + cs[:1], 3)
-
-        gens.append(perm_of(transvect))
-        gens.append(perm_of(shift_basis))
+        gens.append(perm_of(lambda cs: [fld.add(cs[0], cs[1])] + cs[1:]))
+        gens.append(perm_of(lambda cs: cs[1:] + cs[:1]))
     return gens
 
 
@@ -288,13 +308,13 @@ def verify_invariance(spec: CodeSpec, gens: list[tuple[int, ...]]) -> bool:
     The code is the orthogonal complement of the row space R of
     ``spec.rref``.  Permutation matrices are orthogonal, so a permutation
     maps the code onto itself exactly when it maps R onto itself.  The rows
-    of ``rref`` are a basis of R, so it suffices that each of them, with its
-    columns permuted, reduces to zero against ``rref``.
+    of ``rref`` are a basis of R, so it suffices that X, the echelon form
+    with its columns permuted, lies in R: one matrix identity per generator,
+    X == X[:, pivots] . rref over GF(p^r) (:func:`_reduce_against`).
     """
-    fld, rref, pivots = spec.fld, spec.rref, spec.pivots
-    for perm in gens:
-        for row in rref:
-            moved = [row[j] for j in perm]
-            if any(_reduce_against(fld, rref, pivots, moved)):
-                return False
-    return True
+    sub = spec.fld.subfield(spec.params.r)
+    coords = _fp_coordinates(sub, spec.rref)
+    return not any(
+        _reduce_against(sub, coords, spec.pivots, coords[:, :, perm]).any()
+        for perm in gens
+    )

@@ -5,17 +5,21 @@ base p over the power basis of x modulo a fixed monic irreducible.  The
 modulus is the lexicographically least irreducible (smallest integer
 encoding of its non-leading coefficients), so all tables are reproducible
 byte for byte.  Multiplication goes through exp/log tables of the least
-primitive element.
+primitive element.  Whole-row arithmetic in a subfield GF(p^r) goes through
+the numpy tables of :class:`Subfield`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+
+import numpy as np
 
 from .errors import CapExceeded, OutOfRange
 
 DEFAULT_FIELD_CAP = 1 << 20
+TABLE_CAP = 1 << 24  # entries of one Q x Q subfield table (128 MB of int64)
 
 
 def _poly_trim(f: list[int]) -> list[int]:
@@ -30,64 +34,28 @@ def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_divmod(out, mod, p)[1]
+    return _poly_mod(out, mod, p)
 
 
-def _poly_divmod(a: list[int], mod: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = a[:]
-    deg_m = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    q = [0] * max(0, len(a) - deg_m)
-    while len(_poly_trim(a)) - 1 >= deg_m and a:
-        shift = len(a) - 1 - deg_m
-        coef = a[-1] * inv_lead % p
-        q[shift] = coef
+def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
+    """Remainder of a modulo the monic polynomial mod over GF(p)."""
+    a = _poly_trim(a[:])
+    while len(a) >= len(mod):
+        shift, coef = len(a) - len(mod), a[-1]
         for i, cm in enumerate(mod):
             a[shift + i] = (a[shift + i] - coef * cm) % p
         _poly_trim(a)
-    return q, a
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
-    while _poly_trim(b):
-        a, b = b, _poly_divmod(a, b, p)[1]
-    return _poly_trim(a)
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    return _poly_trim(
-        [
-            ((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-            for i in range(n)
-        ]
-    )
-
-
-def _poly_pow_x(exp: int, mod: list[int], p: int) -> list[int]:
-    """x^exp modulo mod over GF(p)."""
-    result = [1]
-    base = [0, 1]
-    while exp:
-        if exp & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        exp >>= 1
-    return result
+    return a
 
 
 def _is_irreducible(mod: list[int], p: int) -> bool:
+    """No monic factor of degree 1..k/2 divides the monic mod of degree k."""
     k = len(mod) - 1
-    x_red = _poly_divmod([0, 1], mod, p)[1]  # x reduced, in case k = 1
-    if _poly_sub(_poly_pow_x(p**k, mod, p), x_red, p):
-        return False
-    for q in _prime_factors(k):
-        d = _poly_sub(_poly_pow_x(p ** (k // q), mod, p), x_red, p)
-        g = _poly_gcd(mod[:], d, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
+    return all(
+        _poly_mod(mod, _digits(enc, p, d) + [1], p)
+        for d in range(1, k // 2 + 1)
+        for enc in range(p**d)
+    )
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -115,19 +83,15 @@ def least_irreducible(p: int, k: int) -> tuple[int, ...]:
         p=2: 0, 3, 3, 3, 5, 3, 3, 27, 3, 9, 5, 9
         p=3: 0, 1, 7, 5, 7, 5, 11, 11, 64, 19, 11, 11
         p=5: 0, 2, 6, 2, 21, 7, 6, 2, 38, 33, 11, 9
+        p=7: 0, 1, 2, 8, 10, 2, 43
 
     e.g. p=2, k=8 encodes x^8 + x^4 + x^3 + x + 1.  The table is pinned by
     a regression test; changing it silently would break reproducibility of
     every serialized matrix and codeword.
     """
     for enc in range(p**k):
-        coeffs = []
-        e = enc
-        for _ in range(k):
-            coeffs.append(e % p)
-            e //= p
-        mod = coeffs + [1]
-        if _is_irreducible(mod, p):
+        coeffs = _digits(enc, p, k)
+        if _is_irreducible(coeffs + [1], p):
             return tuple(coeffs)
     raise OutOfRange(f"no irreducible of degree {k} over GF({p})")  # pragma: no cover
 
@@ -164,9 +128,11 @@ class SmallField:
             raise CapExceeded(f"field size {q} exceeds cap {self.cap}")
         self.modulus = least_irreducible(self.p, self.k)
         self._mod_poly = list(self.modulus) + [1]
+        self._weights = [self.p**i for i in range(self.k)]
         self._build_tables()
         # r -> (inverse basis matrix, F_p-basis of GF(p^r))
-        self._coord_cache: dict[int, tuple[list[list[int]], list[int]]] = {}
+        self._coord_cache: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self._subfield_cache: dict[int, Subfield] = {}
 
     @property
     def order(self) -> int:
@@ -194,13 +160,11 @@ class SmallField:
         q = self.order
         group = q - 1
         factors = _prime_factors(group) if group > 1 else []
-        gamma = None
-        for g in range(1, q):
-            if all(self._raw_pow(g, group // f) != 1 for f in factors):
-                gamma = g
-                break
-        if gamma is None:  # pragma: no cover - q >= 2 always has a generator
-            raise OutOfRange("no primitive element found")
+        gamma = next(  # the least primitive element: q >= 2 always has one
+            g
+            for g in range(1, q)
+            if all(self._raw_pow(g, group // f) != 1 for f in factors)
+        )
         self.gamma = gamma
         acc = 1
         exp = []
@@ -211,31 +175,20 @@ class SmallField:
         self.log = [-1] * q
         for j, v in enumerate(self.exp):
             self.log[v] = j
+        self.exp_array = np.array(self.exp, dtype=np.int64)
 
-    # -- arithmetic --
+    # -- arithmetic (digit by digit: the i-th digit of a is a // p^i mod p) --
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return sum((a // w + b // w) % self.p * w for w in self._weights)
 
     def neg(self, a: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return sum(-(a // w) % self.p * w for w in self._weights)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        out = 0  # a plain loop: the scalar referee spends its time here
+        for w in self._weights:
+            out += (a // w - b // w) % self.p * w
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -270,50 +223,46 @@ class SmallField:
         step = (self.order - 1) // (self.p**r - 1)
         return [0] + [self.exp[j * step] for j in range(self.p**r - 1)]
 
-    def _coord_matrix(self, r: int) -> tuple[list[list[int]], list[int]]:
+    def _coord_matrix(self, r: int) -> tuple[np.ndarray, list[int]]:
         """Inverse basis matrix for coordinates over the GF(p^r) power basis,
-        and the F_p-basis sigma of the subfield it is built on.
+        and the F_p-basis sigma = 1, b, .., b^(r-1) of the subfield it is
+        built on, b = exp[(p^k - 1)/(p^r - 1)] generating GF(p^r).
 
         The basis of GF(p^k) over GF(p) is {sigma_j * x^t} with t < k/r, where
         x^t (t < k) is encoded as p^t; the returned matrix converts digit
         vectors to coefficients in that basis (all mod p).
         """
         cached = self._coord_cache.get(r)
-        if cached is not None:
-            return cached
-        p, k = self.p, self.k
-        sub = self.subfield_elements(r)
-        sigma: list[int] = []
-        span = {0}
-        for e in sub:
-            if e in span:
-                continue
-            sigma.append(e)
-            span = {self.add(s, self.mul(e, c)) for s in span for c in range(p)}
-            if len(sigma) == r:
-                break
-        cols = [
-            _digits(self.mul(s, p**t), p, k) for t in range(k // r) for s in sigma
-        ]
-        # invert the k x k matrix whose columns are cols, over GF(p)
-        mat = [[cols[j][i] for j in range(k)] for i in range(k)]
-        self._coord_cache[r] = (_matrix_inverse_mod_p(mat, p), sigma)
-        return self._coord_cache[r]
+        if cached is None:
+            p, k = self.p, self.k
+            self.subfield_elements(r)  # raises unless r | k
+            step = (self.order - 1) // (p**r - 1)
+            sigma = [self.exp[j * step] for j in range(r)]
+            basis = [self.mul(s, p**t) for t in range(k // r) for s in sigma]
+            cols = np.array([_digits(b, p, k) for b in basis])
+            cached = (_inverse_mod_p(cols.T, p), sigma)
+            self._coord_cache[r] = cached
+        return cached
 
     def coordinates(self, e: int, r: int) -> list[int]:
         """Coordinates of e over the GF(p^r) power basis {x^t}, as subfield
         elements (length k/r)."""
         inv, sigma = self._coord_matrix(r)
-        p, k = self.p, self.k
-        vec = _digits(e, p, k)
-        sol = [sum(inv[i][j] * vec[j] for j in range(k)) % p for i in range(k)]
+        sol = (inv @ _digits(e, self.p, self.k) % self.p).tolist()
         out = []
-        for t in range(k // r):
+        for t in range(0, self.k, r):
             acc = 0
-            for j in range(r):
-                acc = self.add(acc, self.mul(sigma[j], sol[t * r + j]))
+            for s, c in zip(sigma, sol[t : t + r]):
+                acc = self.add(acc, self.mul(s, c))
             out.append(acc)
         return out
+
+    def subfield(self, r: int) -> Subfield:
+        """Whole-array arithmetic of the subfield GF(p^r), built once."""
+        got = self._subfield_cache.get(r)
+        if got is None:
+            got = self._subfield_cache[r] = Subfield.of(self, r)
+        return got
 
     def from_coordinates(self, coords: list[int], r: int) -> int:
         """Inverse of :meth:`coordinates`."""
@@ -323,20 +272,91 @@ class SmallField:
         return acc
 
 
-def _matrix_inverse_mod_p(mat: list[list[int]], p: int) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def _shared_field(p: int, k: int) -> SmallField:
+    return SmallField(p, k, cap=p**k)
+
+
+def shared_field(p: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> SmallField:
+    """The one GF(p^k) of the process, tables built once; the cap is
+    checked on every call (a field over it raises on construction)."""
+    return _shared_field(p, k) if p**k <= cap else SmallField(p, k, cap)
+
+
+@dataclass(frozen=True)
+class Subfield:
+    """GF(p^r) inside GF(p^k) as numpy tables on element indices.
+
+    Index i names ``elements[i]``, the field encodings in ascending order:
+    index 0 is zero and, for r = 1, an index is its value.  ``coords[i]``
+    are the F_p-coordinates of element i over the basis sigma of
+    :meth:`SmallField._coord_matrix`; sigma_a sigma_b = sum_c structure[a,
+    b, c] sigma_c.  ``split`` maps the digits of a GF(p^k) element to its
+    F_p-coordinates over {sigma_j x^t}; ``from_coords[sum_j c_j p^j]`` is
+    the index with coordinates c.
+    """
+
+    p: int
+    elements: np.ndarray
+    add: np.ndarray
+    mul: np.ndarray
+    neg: np.ndarray
+    inv: np.ndarray
+    coords: np.ndarray
+    structure: np.ndarray
+    split: np.ndarray
+    from_coords: np.ndarray
+
+    def index(self, encodings) -> np.ndarray:
+        return np.searchsorted(self.elements, encodings)
+
+    @classmethod
+    def of(cls, fld: SmallField, r: int) -> Subfield:
+        p, k = fld.p, fld.k
+        if p ** (2 * r) > TABLE_CAP:
+            raise CapExceeded(f"GF({p}^{r}) tables exceed {TABLE_CAP} entries")
+        split, sigma = fld._coord_matrix(r)
+        elements = np.array(sorted(fld.subfield_elements(r)), dtype=np.int64)
+        index = partial(np.searchsorted, elements)
+        weights = p ** np.arange(k)
+        digits = elements[:, None] // weights % p
+        group = fld.order - 1
+        logs = np.array(fld.log)[elements]
+        mul = fld.exp_array[(logs[:, None] + logs) % group]
+        mul[0, :] = mul[:, 0] = 0
+        mul = index(mul)
+        inv = fld.exp_array[-logs % group]
+        inv[0] = 0
+        # every F_p-combination of sigma, numbered sum_j c_j p^j
+        combos = np.arange(p**r)[:, None] // p ** np.arange(r) % p
+        sigma_digits = np.array(sigma)[:, None] // weights % p
+        from_coords = index(combos @ sigma_digits % p @ weights)
+        coords = np.empty_like(combos)
+        coords[from_coords] = combos
+        sig = index(sigma)
+        return cls(
+            p=p,
+            elements=elements,
+            add=index((digits[:, None] + digits) % p @ weights),
+            mul=mul,
+            neg=index(-digits % p @ weights),
+            inv=index(inv),
+            coords=coords,
+            structure=coords[mul[sig[:, None], sig]],
+            split=split,
+            from_coords=from_coords,
+        )
+
+
+def _inverse_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of an invertible square matrix over GF(p) (Gauss-Jordan)."""
     k = len(mat)
-    aug = [row[:] + [int(i == j) for j in range(k)] for i, row in enumerate(mat)]
-    row = 0
+    aug = np.hstack([mat % p, np.eye(k, dtype=np.int64)])
     for col in range(k):
-        piv = next((r for r in range(row, k) if aug[r][col] % p), None)
-        if piv is None:
-            raise OutOfRange("singular basis matrix")  # pragma: no cover
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][col], p - 2, p)
-        aug[row] = [v * inv % p for v in aug[row]]
-        for r in range(k):
-            if r != row and aug[r][col] % p:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[row])]
-        row += 1
-    return [r[k:] for r in aug]
+        piv = col + np.flatnonzero(aug[col:, col])[0]
+        aug[[col, piv]] = aug[[piv, col]]
+        aug[col] = aug[col] * pow(int(aug[col, col]), p - 2, p) % p
+        factor = aug[:, col].copy()
+        factor[col] = 0
+        aug = (aug - factor[:, None] * aug[col]) % p
+    return aug[:, k:]

@@ -18,8 +18,9 @@ rational-anchor forms of the order (:func:`precedes_generic`,
 :func:`equivalent_transport_conditions`, whose last three conditions are the
 walk-calculus forms checked against the first three on point sets; and the
 codeword-level invariance check (:func:`verify_invariance_on_words` with
-:func:`kernel_basis`, :func:`word_in_code`) and group order
-(:func:`group_closure_order`) for the codes.
+:func:`kernel_basis`, :func:`word_in_code`), the scalar row reduction
+(:func:`scalar_rref`) and group order (:func:`group_closure_order`) for the
+codes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Callable, Iterable, Literal
 
 from .codes import CodeSpec
 from .errors import CapExceeded, InconsistentInput, TooLarge
+from .fields import SmallField
 from .order import Params, Point2, Point3, precedes2, precedes3, rotate
 from .slicing import LayerSequence, layer_host, nonempty_lookahead, nonfull_lookback
 from .symmetric import SymLayerSequence, accumulated_walks
@@ -629,6 +631,33 @@ def equivalent_transport_conditions(
 # -- codeword-level checks of the codes --
 
 
+def scalar_rref(
+    fld: SmallField, rows: list[list[int]]
+) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over the subfield containing all entries,
+    one field operation at a time."""
+    mat = [row[:] for row in rows]
+    pivots: list[int] = []
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = fld.inv(mat[rank][col])
+        mat[rank] = [fld.mul(inv, v) for v in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [
+                    fld.sub(a, fld.mul(f, b)) for a, b in zip(mat[i], mat[rank])
+                ]
+        pivots.append(col)
+        rank += 1
+    return mat[:rank], pivots
+
+
 def kernel_basis(spec: CodeSpec) -> list[list[int]]:
     """Basis codewords of the kernel over GF(p^r), from the echelon form."""
     fld = spec.fld
@@ -639,7 +668,7 @@ def kernel_basis(spec: CodeSpec) -> list[list[int]]:
     for f in free:
         vec = [0] * ncols
         vec[f] = 1
-        for row, col in zip(spec.rref, spec.pivots):
+        for row, col in zip(spec.rref.tolist(), spec.pivots):
             vec[col] = fld.neg(row[f])
         basis.append(vec)
     return basis
@@ -648,7 +677,7 @@ def kernel_basis(spec: CodeSpec) -> list[list[int]]:
 def word_in_code(spec: CodeSpec, word: list[int]) -> bool:
     """Evaluate every expanded constraint on an explicit word."""
     fld = spec.fld
-    for row in spec.rref:
+    for row in spec.rref.tolist():
         acc = 0
         for a, b in zip(row, word):
             if a and b:

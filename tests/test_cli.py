@@ -248,6 +248,12 @@ class TestVerify:
         assert code == 5
         assert "FAIL" in out
 
+    def test_all_pass_degree_three_m6(self, capsys):
+        code, out, err = run(capsys, "verify", "--p", "2", "--m", "6", "--r", "3")
+        assert code == 0
+        assert out.count("PASS") == 494
+        assert "494/494 PASS" in err
+
     def test_cap_exit_3(self, capsys):
         code, _, err = run(
             capsys, "verify", "--p", "3", "--m", "6", "--r", "1",

@@ -1,6 +1,7 @@
 """Finite-field bridge: digit sums, defining sets, code builds, group action."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from coneideal.fields import SmallField, least_irreducible
 from coneideal.oracle import (
     group_closure_order,
     kernel_basis,
+    scalar_rref,
     verify_invariance_on_words,
     word_in_code,
 )
@@ -58,9 +60,9 @@ def spec_of_exponents(params, defining):
     ``build_code`` builds the code of an ideal's defining set."""
     fld = SmallField(params.p, params.m)
     order = fld.elements_in_order()
-    rows = [_power_row(fld, order, s) for s in defining]
+    rows = [_power_row(fld, s) for s in defining]
     expanded = _expand_rows(fld, rows, params.r)
-    rref, pivots = _rref(fld, expanded) if expanded else ([], [])
+    rref, pivots = _rref(fld, expanded, params.r)
     return CodeSpec(
         params=params,
         ideal=frozenset(),
@@ -70,6 +72,22 @@ def spec_of_exponents(params, defining):
         rref=rref,
         pivots=pivots,
     )
+
+
+def scalar_constraint_rows(fld, r, defining):
+    """The coordinate rows over GF(p^r) of every exponent in the list, one
+    field operation at a time: coordinates are read off a table of every
+    sum_t c_t x^t, not computed by the coordinate map."""
+    sub = fld.subfield_elements(r)
+    coords = {
+        fld.from_coordinates(list(cs), r): list(cs)
+        for cs in itertools.product(sub, repeat=fld.k // r)
+    }
+    rows = []
+    for s in defining:
+        cols = [coords[fld.power(g, s)] for g in fld.elements_in_order()]
+        rows.extend([c[t] for c in cols] for t in range(fld.k // r))
+    return rows
 
 
 class TestDigitClassSums:
@@ -157,11 +175,23 @@ class TestSmallField:
             2: [0, 3, 3, 3, 5, 3, 3, 27, 3, 9, 5, 9],
             3: [0, 1, 7, 5, 7, 5, 11, 11, 64, 19, 11, 11],
             5: [0, 2, 6, 2, 21, 7, 6, 2, 38, 33, 11, 9],
+            7: [0, 1, 2, 8, 10, 2, 43],
         }
         for p, encodings in expected.items():
             for k, enc in enumerate(encodings, start=1):
                 coeffs = least_irreducible(p, k)
                 assert sum(c * p**i for i, c in enumerate(coeffs)) == enc, (p, k)
+
+        # p = 7, k <= 3 independently: every monic of degree 1 is
+        # irreducible, one of degree 2 or 3 exactly when it has no root
+        def irreducible(enc, k):
+            coeffs = [enc // 7**i % 7 for i in range(k)] + [1]
+            return k == 1 or all(
+                sum(c * x**i for i, c in enumerate(coeffs)) % 7 for x in range(7)
+            )
+
+        least = [next(e for e in range(7**k) if irreducible(e, k)) for k in (1, 2, 3)]
+        assert least == expected[7][:3]
 
     def test_degree_one_field(self):
         fld = SmallField(3, 1)
@@ -207,6 +237,11 @@ class TestSmallField:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             SmallField(2, 25)
+
+    def test_subfield_table_cap(self):
+        assert len(SmallField(13, 3).subfield(3).elements) == 13**3
+        with pytest.raises(CapExceeded, match="^GF\\(17\\^3\\) tables exceed"):
+            SmallField(17, 3).subfield(3)
 
 
 class TestBuildCode:
@@ -259,6 +294,36 @@ class TestBuildCode:
         assert len(basis) == spec.dimension
         for w in basis:
             assert word_in_code(spec, w)
+
+
+class TestScalarReferee:
+    @pytest.mark.parametrize(
+        "p,m,r,sample",
+        [
+            (2, 3, 1, None),
+            (3, 3, 1, None),
+            (2, 3, 3, None),
+            (3, 3, 3, None),
+            (2, 6, 1, 20),
+            (2, 6, 3, 20),
+            (5, 3, 1, 20),
+        ],
+    )
+    def test_rref_matches_scalar_rref(self, p, m, r, sample):
+        # orbit representatives and table elimination against the whole
+        # defining list reduced one field operation at a time
+        params = Params(p, m, r)
+        ideals = r1_ideals(params) if params.r == 1 else r3_ideals(params)
+        if sample is not None:
+            ideals = random.Random(6).sample(ideals, sample)
+        fld = SmallField(params.p, params.m)
+        for ideal in ideals:
+            spec = build_code(ideal, params)
+            rows = scalar_constraint_rows(fld, params.r, preimage_list(ideal, params))
+            ref, pivots = scalar_rref(fld, rows)
+            assert spec.rref.tolist() == ref, sorted(ideal)
+            assert spec.pivots == pivots
+            assert spec.dimension == params.p**params.m - len(pivots)
 
 
 class TestAffineGroup:
