@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Optional, TextIO
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, TextIO
 
 from .codes import (
     DEFAULT_SCAN_CAP,
@@ -54,10 +55,14 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _open_emit(args: argparse.Namespace) -> TextIO:
-    if args.emit:
-        return open(args.emit, "w", encoding="utf-8")
-    return sys.stdout
+@contextmanager
+def _emit(args: argparse.Namespace) -> Iterator[TextIO]:
+    """The --emit file, closed on exit, or stdout, left open."""
+    if not args.emit:
+        yield sys.stdout
+        return
+    with open(args.emit, "w", encoding="utf-8") as out:
+        yield out
 
 
 def _shards(args: argparse.Namespace) -> Optional[tuple[int, int]]:
@@ -87,8 +92,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         print(search(params, mode="count", shards=shards))
         return 0
-    out = _open_emit(args)
-    try:
+    with _emit(args) as out:
         for walks in search(params, mode="stream", shards=shards):
             rec = {
                 "p": params.p,
@@ -99,9 +103,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             if args.format == "points":
                 rec["points"] = sorted(to_points(walks))
             out.write(json.dumps(rec) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -122,17 +123,13 @@ def cmd_defining_set(args: argparse.Namespace) -> int:
     if reason is not None:
         return _fail(EXIT_NOT_IDEAL, f"input is not an invariant ideal: {reason}")
     count = preimage_count(ideal, params)
-    out = _open_emit(args)
-    try:
+    with _emit(args) as out:
         out.write(f"{count}\n")
         try:
             for s in preimage_list(ideal, params, cap=args.cap_scan):
                 out.write(f"{s}\n")
         except CapExceeded as exc:
             print(f"list suppressed: {exc}", file=sys.stderr)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -176,15 +173,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     params = _params(args)
     ideal = _load_ideal(args.ideal)
-    out = _open_emit(args)
-    try:
+    with _emit(args) as out:
         if args.render == "svg":
             out.write(svg_cubes(ideal, params))
         else:
             out.write(ascii_layers(ideal, params))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

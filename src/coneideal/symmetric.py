@@ -9,17 +9,19 @@ of [0,i-1]^2, read straight off the shell heights, and the forward rule of
 the plain layers (:func:`coneideal.slicing.forward_interval`) applied to
 those sections puts the admissible J_i between two walks S and T.  The
 choice further splits by how far J_i reaches into the last two columns (no
-reach / column i-1 only / column i), each case cut down to plain walk
-intervals by extremal walks through the forced endpoints.
+reach / column i-1 only / column i).  Each reach case is a fixed walk pair
+(L, U) that depends only on i and p, built once per shell; at a search node
+the case's layers are the plain walk interval [S v L, T ^ U].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Literal, Optional
 
 from .errors import InconsistentInput, NotAnIdeal
-from .order import Params, Point3, rotate
+from .order import Params, Point2, Point3, rotate
 from .slicing import (
     count_interval,
     depth_first,
@@ -30,12 +32,12 @@ from .walks import (
     Rect,
     Walk,
     empty_walk,
-    extremal_walk,
     full_walk,
-    join_all,
+    join,
     largest_avoiding,
+    meet,
     meet_all,
-    restrict,
+    smallest_containing,
     walk_from_heights,
     walk_leq,
 )
@@ -109,82 +111,49 @@ def symmetric_bounds(i: int, cum: list[Walk], params: Params) -> tuple[Walk, Wal
     return forward_interval(i, cum, shell_host(i), params.p)
 
 
-def _inner_candidates(
-    s_walk: Walk, t_walk: Walk, i: int, p: int
-) -> Optional[tuple[Walk, Walk]]:
+@lru_cache(maxsize=None)
+def _reach_cases(i: int, p: int) -> tuple[tuple[Walk, Walk], ...]:
+    """Fixed walk pairs (L, U) of shell i, one per reach case of a layer.
+
+    A layer J of [0,i]^2 is in a case exactly when L <= J <= U: J stops
+    before column i-1 (L empty); or J ends in column i-1 at height v and,
+    once i >= p, holds (v, i-p); or J reaches column i at height u and its
+    top row to column u (the palindrome condition).  The cases are disjoint.
+    """
     host = shell_host(i)
-    if s_walk.contains((0, i)) or s_walk.contains((i - 1, 0)):
-        return None
-    top_cap = largest_avoiding((0, i), host, p)
-    right_cap = largest_avoiding((i - 1, 0), host, p)
-    upper = meet_all([t_walk, top_cap, right_cap])
-    return s_walk, upper
 
+    def low(pt: Point2) -> Walk:
+        return smallest_containing(pt, host, p)
 
-def _edge_candidates(
-    s_walk: Walk, t_walk: Walk, i: int, v: int, p: int
-) -> Optional[tuple[Walk, Walk]]:
-    host = shell_host(i)
-    inner = Rect(0, i - 1, 0, i)
-    if p * v > (p - 1) * i or v >= p * p:
-        return None
-    if not t_walk.contains((i - 1, v)) or s_walk.contains((i - 1, v + 1)):
-        return None
-    if i >= p and not t_walk.contains((v, i - p)):
-        return None
-    through = (
-        extremal_walk(host, (v, i - p), "lowest-through", p)
-        if i >= p
-        else empty_walk(host, p)
-    )
-    low_end = extremal_walk(inner, (i - 1, v), "lowest-end", p)
-    high_end = extremal_walk(inner, (i - 1, v), "highest-end", p)
-    top_cap = largest_avoiding((0, i), host, p)
-    lower = join_all([restrict(join_all([s_walk, through]), inner), low_end])
-    upper = meet_all([restrict(meet_all([t_walk, top_cap]), inner), high_end])
-    return lower, upper
+    def high(*pts: Point2) -> Walk:
+        return meet_all([largest_avoiding(pt, host, p) for pt in pts])
 
-
-def _corner_candidates(
-    s_walk: Walk, t_walk: Walk, i: int, u: int, p: int
-) -> Optional[tuple[Walk, Walk]]:
-    host = shell_host(i)
-    if not t_walk.contains((i, u)) or not t_walk.contains((u, i)):
-        return None
-    if s_walk.contains((i, u + 1)) or s_walk.contains((u + 1, i)):
-        return None
-    low_start = extremal_walk(host, (u, i), "lowest-start", p)
-    low_end = extremal_walk(host, (i, u), "lowest-end", p)
-    high_start = extremal_walk(host, (u, i), "highest-start", p)
-    high_end = extremal_walk(host, (i, u), "highest-end", p)
-    lower = join_all([s_walk, low_start, low_end])
-    upper = meet_all([t_walk, high_start, high_end])
-    return lower, upper
+    cases = [(empty_walk(host, p), high((0, i), (i - 1, 0)))]
+    for v in range(i + 1):
+        lower = low((i - 1, v))
+        if i >= p:
+            lower = join(lower, low((v, i - p)))
+        cases.append((lower, high((0, i), (i, 0), (i - 1, v + 1))))
+    for u in range(i + 1):
+        cases.append((join(low((u, i)), low((i, u))), high((u + 1, i), (i, u + 1))))
+    # L <= U drops the heights v with p v > (p - 1) i, where L holds (0, i),
+    # and v >= p^2, where L reaches column i
+    return tuple((lo, hi) for lo, hi in cases if walk_leq(lo, hi))
 
 
 def _layer_intervals(
     i: int, cum: list[Walk], params: Params
-) -> Iterator[tuple[Walk, Walk, bool]]:
-    """Disjoint walk intervals covering the consistent shell-i layers.
-
-    Yields (lower, upper, pad_last_column): when the flag is set the
-    interval lives on [0,i-1] x [0,i] and each walk is completed by an
-    empty column i (the column-(i-1) reach case).
-    """
-    p = params.p
+) -> Iterator[tuple[Walk, Walk]]:
+    """Disjoint nonempty walk intervals covering the consistent shell-i
+    layers: [S v L, T ^ U] for each reach case (L, U) of the forward
+    interval [S, T].  As L <= U, it is nonempty exactly when S <= T,
+    S <= U and L <= T."""
     s_walk, t_walk = symmetric_bounds(i, cum, params)
-    got = _inner_candidates(s_walk, t_walk, i, p)
-    if got is not None:
-        yield got[0], got[1], False
-    if not s_walk.contains((0, i)) and not s_walk.contains((i, 0)):
-        for v in range(min(p * p, i + 1)):
-            got = _edge_candidates(s_walk, t_walk, i, v, p)
-            if got is not None:
-                yield got[0], got[1], True
-    for u in range(i + 1):
-        got = _corner_candidates(s_walk, t_walk, i, u, p)
-        if got is not None:
-            yield got[0], got[1], False
+    if not walk_leq(s_walk, t_walk):
+        return
+    for lower, upper in _reach_cases(i, params.p):
+        if walk_leq(s_walk, upper) and walk_leq(lower, t_walk):
+            yield join(s_walk, lower), meet(t_walk, upper)
 
 
 def enumerate_layer_sym(i: int, cum: list[Walk], params: Params) -> list[Walk]:
@@ -193,18 +162,11 @@ def enumerate_layer_sym(i: int, cum: list[Walk], params: Params) -> list[Walk]:
     if i == 0:
         host = shell_host(0)
         return [empty_walk(host, params.p), full_walk(host, params.p)]
-    p = params.p
-    host = shell_host(i)
-    out: list[Walk] = []
-    for lower, upper, pad in _layer_intervals(i, cum, params):
-        if not walk_leq(lower, upper):
-            continue
-        for w in enumerate_interval(lower, upper):
-            if pad:
-                hs = w.hs + (host.c - 1,)
-                out.append(walk_from_heights(hs, host, p))
-            else:
-                out.append(w)
+    out = [
+        w
+        for lower, upper in _layer_intervals(i, cum, params)
+        for w in enumerate_interval(lower, upper)
+    ]
     out.sort(key=lambda w: w.hs)
     return out
 
@@ -212,11 +174,7 @@ def enumerate_layer_sym(i: int, cum: list[Walk], params: Params) -> list[Walk]:
 def count_layer_sym(i: int, cum: list[Walk], params: Params) -> int:
     if i == 0:
         return 2
-    total = 0
-    for lower, upper, _tail in _layer_intervals(i, cum, params):
-        if walk_leq(lower, upper):
-            total += count_interval(lower, upper)
-    return total
+    return sum(count_interval(lo, hi) for lo, hi in _layer_intervals(i, cum, params))
 
 
 def enumerate_all_r1(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -298,6 +299,15 @@ class TestRender:
         )
         assert code == 0
         assert "#" not in out
+
+    def test_emit_to_file(self, capsys, tmp_path, example_file):
+        argv = ("render", "--p", "3", "--m", "6", "--r", "1", "--render", "svg")
+        code, expected, _ = run(capsys, *argv, example_file)
+        assert code == 0 and not sys.stdout.closed
+        target = tmp_path / "ideal.svg"
+        code, out, _ = run(capsys, *argv, "--emit", str(target), example_file)
+        assert code == 0 and out == ""
+        assert target.read_text() == expected
 
     def test_svg_deterministic(self, example_params):
         a = svg_cubes(EXAMPLE_IDEAL, example_params)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from coneideal.codes import violated_condition
 from coneideal.errors import InconsistentInput
 from coneideal.oracle import (
     LayerReach,
@@ -19,8 +20,10 @@ from coneideal.oracle import (
     rotation_invariant_3d,
 )
 from coneideal.order import Params
+from coneideal.slicing import enumerate_interval
 from coneideal.symmetric import (
     SymLayerSequence,
+    _reach_cases,
     accumulated_walks,
     assembled_points,
     count_layer_sym,
@@ -147,6 +150,59 @@ class TestClassifyReach:
                     assert hs[i] < 0 <= hs[i - 1]
                 else:
                     assert hs[i - 1] < 0 and hs[i] < 0
+
+
+class TestReachCases:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_cases_partition_palindromic_layers(self, p):
+        for i in range(1, 7):
+            host = Rect(0, i, 0, i)
+            seen: dict = {}
+            labels = set()
+            for lower, upper in _reach_cases(i, p):
+                kind = classify_reach(lower, i)
+                col = i if kind is LayerReach.CORNER else i - 1
+                label = (kind, lower.hs[col] if kind is not LayerReach.INNER else None)
+                assert label not in labels, (p, i, label)
+                labels.add(label)
+                for w in enumerate_interval(lower, upper):
+                    assert w not in seen, (p, i, w.hs, seen.get(w), label)
+                    seen[w] = label
+                    assert classify_reach(w, i) is kind, (p, i, w.hs)
+                    if kind is not LayerReach.INNER:
+                        assert w.hs[col] == label[1], (p, i, w.hs)
+            # together the cases hold every palindromic layer, except the
+            # column-(i-1) layers at height v with p v > (p - 1) i or, once
+            # i >= p, without the point (v, i - p)
+            expected = {
+                w
+                for w in enumerate_interval(empty_walk(host, p), full_walk(host, p))
+                if is_palindromic(w, i)
+                and (
+                    classify_reach(w, i) is not LayerReach.EDGE
+                    or p * w.hs[i - 1] <= (p - 1) * i
+                    and (i < p or w.contains((w.hs[i - 1], i - p)))
+                )
+            }
+            assert set(seen) == expected, (p, i)
+
+
+class TestSoundnessBeyondOracle:
+    """Emitted r = 1 sets are invariant ideals at n = 4, past the 80-point
+    brute-force oracle."""
+
+    @pytest.mark.parametrize(
+        "p,m,sample", [(2, 12, None), (3, 6, 200), (5, 3, 200)]
+    )
+    def test_streamed_sets_are_ideals(self, p, m, sample):
+        params = Params(p=p, m=m, r=1)
+        assert params.n == 4
+        stream = list(enumerate_all_r1(params, mode="stream"))
+        if sample is not None:
+            stream = random.Random(7).sample(stream, sample)
+        for walks in stream:
+            pts = assembled_points(SymLayerSequence(params, list(walks)))
+            assert violated_condition(pts, params) is None, [w.hs for w in walks]
 
 
 class TestPalindrome:
