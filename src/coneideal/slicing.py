@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Iterator, Literal, Optional, TypeVar
 from .errors import BoundsInverted
 from .order import Params
 from .walks import (
+    TRANSPORT_MEMOS,
     Rect,
     Walk,
     empty_walk,
@@ -219,7 +220,8 @@ def depth_first(
     root: State,
     last: int,
     children: Callable[[int, State], Iterable[State]],
-    count_last: Callable[[int, State], int],
+    interval: Callable[[int, State], tuple],
+    count_of: Callable[..., int],
     mode: Literal["count", "stream"],
     shards: Optional[tuple[int, int]],
 ):
@@ -228,16 +230,30 @@ def depth_first(
 
     ``children(depth, state)`` lists the states one level down, in stream
     order; a stream yields the states reached below level ``last``.  A count
-    stops one level early: ``count_last(last, state)`` counts the choices at
-    the last level without listing them.  With ``shards = (index, total)``
+    stops one level early: each node at level ``last`` computes the key
+    ``interval(last, state)`` of its choices, and ``count_of(*key)`` counts
+    them without listing them.  With ``shards = (index, total)``
     the tree is first expanded breadth-first until a level holds at least
     4 * total nodes (or the leaves are reached), and only the nodes of that
     level at positions congruent to index modulo total are explored.
+
+    Memo scope: one call.  The count is a pure function of the key, so a
+    count runs ``count_of`` once per distinct key, in a dict local to the
+    call; every node still computes its own key.  The transport memos of
+    :mod:`coneideal.walks` are emptied as the call starts, so no search
+    reuses a value computed by another.
     """
+    for memo in TRANSPORT_MEMOS:
+        memo.cache_clear()
+    counts: dict[tuple, int] = {}
 
     def count(depth: int, state: State) -> int:
         if depth == last:
-            return count_last(depth, state)
+            key = interval(depth, state)
+            found = counts.get(key)
+            if found is None:
+                found = counts[key] = count_of(*key)
+            return found
         return sum(count(depth + 1, kid) for kid in children(depth, state))
 
     def stream(depth: int, state: State) -> Iterator[State]:
@@ -283,11 +299,12 @@ def enumerate_all_r3(
         lower, upper = bounds(i, seq, params)
         return (seq.with_layer(i, w) for w in enumerate_interval(lower, upper))
 
-    def count_last(depth: int, seq: LayerSequence) -> int:
-        return count_interval(*bounds(levels[depth], seq, params))
+    def interval(depth: int, seq: LayerSequence) -> tuple[Walk, Walk]:
+        return bounds(levels[depth], seq, params)
 
+    root = LayerSequence(params)
     found = depth_first(
-        LayerSequence(params), params.n, children, count_last, mode, shards
+        root, params.n, children, interval, count_interval, mode, shards
     )
     if mode == "count":
         return found

@@ -17,7 +17,7 @@ the case's layers are the plain walk interval [S v L, T ^ U].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Literal, Optional
 
 from .errors import InconsistentInput, NotAnIdeal
@@ -142,16 +142,15 @@ def _reach_cases(i: int, p: int) -> tuple[tuple[Walk, Walk], ...]:
 
 
 def _layer_intervals(
-    i: int, cum: list[Walk], params: Params
+    i: int, s_walk: Walk, t_walk: Walk, p: int
 ) -> Iterator[tuple[Walk, Walk]]:
     """Disjoint nonempty walk intervals covering the consistent shell-i
     layers: [S v L, T ^ U] for each reach case (L, U) of the forward
     interval [S, T].  As L <= U, it is nonempty exactly when S <= T,
     S <= U and L <= T."""
-    s_walk, t_walk = symmetric_bounds(i, cum, params)
     if not walk_leq(s_walk, t_walk):
         return
-    for lower, upper in _reach_cases(i, params.p):
+    for lower, upper in _reach_cases(i, p):
         if walk_leq(s_walk, upper) and walk_leq(lower, t_walk):
             yield join(s_walk, lower), meet(t_walk, upper)
 
@@ -162,19 +161,23 @@ def enumerate_layer_sym(i: int, cum: list[Walk], params: Params) -> list[Walk]:
     if i == 0:
         host = shell_host(0)
         return [empty_walk(host, params.p), full_walk(host, params.p)]
+    s_walk, t_walk = symmetric_bounds(i, cum, params)
     out = [
         w
-        for lower, upper in _layer_intervals(i, cum, params)
+        for lower, upper in _layer_intervals(i, s_walk, t_walk, params.p)
         for w in enumerate_interval(lower, upper)
     ]
     out.sort(key=lambda w: w.hs)
     return out
 
 
-def count_layer_sym(i: int, cum: list[Walk], params: Params) -> int:
+def count_layer_sym(i: int, s_walk: Walk, t_walk: Walk, params: Params) -> int:
+    """Number of consistent shell-i layers, a function of the forward
+    interval [S, T] of :func:`symmetric_bounds` alone."""
     if i == 0:
         return 2
-    return sum(count_interval(lo, hi) for lo, hi in _layer_intervals(i, cum, params))
+    intervals = _layer_intervals(i, s_walk, t_walk, params.p)
+    return sum(count_interval(lo, hi) for lo, hi in intervals)
 
 
 def enumerate_all_r1(
@@ -195,12 +198,13 @@ def enumerate_all_r1(
             for w in enumerate_layer_sym(depth, cum, params)
         )
 
-    def count_last(depth: int, seq: SymLayerSequence) -> int:
-        return count_layer_sym(depth, accumulated_walks(seq, depth), params)
+    def interval(depth: int, seq: SymLayerSequence) -> tuple[int, Walk, Walk]:
+        cum = accumulated_walks(seq, depth)
+        return (depth, *symmetric_bounds(depth, cum, params))
 
-    found = depth_first(
-        SymLayerSequence(params, []), params.n, children, count_last, mode, shards
-    )
+    root = SymLayerSequence(params, [])
+    count_of = partial(count_layer_sym, params=params)
+    found = depth_first(root, params.n, children, interval, count_of, mode, shards)
     if mode == "count":
         return found
     return (tuple(seq.walks) for seq in found)

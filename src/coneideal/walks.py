@@ -21,7 +21,7 @@ their target; the extensions to a bigger rectangle are the zero shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Literal
 
 from .errors import HostMismatch, InvalidWalk, NoSuchWalk, NotAnIdeal
@@ -352,6 +352,7 @@ def _avoid_up_heights(excluded: list[Point2], big: Rect, p: int) -> tuple[int, .
     return tuple(hs)
 
 
+@lru_cache(maxsize=None)
 def ideal_transport(w: Walk, dx: int, dy: int, target: Rect) -> Walk:
     """Walk of [(ideal of w) + cone + (dx, dy)] intersected with target.
 
@@ -368,6 +369,7 @@ def ideal_transport(w: Walk, dx: int, dy: int, target: Rect) -> Walk:
     return Walk(target, w.p, _reach_down_heights(tops, target, w.p))
 
 
+@lru_cache(maxsize=None)
 def transport_upper_bound(z: Walk, dx: int, dy: int, target: Rect) -> Walk:
     """Largest walk over target whose transport by (dx, dy), read on z's
     host, lies in z: its ideal avoids the upward closure of the points of
@@ -375,6 +377,11 @@ def transport_upper_bound(z: Walk, dx: int, dy: int, target: Rect) -> Walk:
     a, d = z.host.a, z.host.d
     excluded = [(a + i - dx, h + 1 - dy) for i, h in enumerate(z.hs) if h < d]
     return Walk(target, z.p, _avoid_up_heights(excluded, target, z.p))
+
+
+# The search driver empties these memos as each search starts; the tuple
+# keeps them reachable when the module names are rebound to wrappers.
+TRANSPORT_MEMOS = (ideal_transport, transport_upper_bound)
 
 
 def lowest_extension(z: Walk, big: Rect) -> Walk:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from coneideal.codes import violated_condition
 from coneideal.oracle import (
     LayerOracle,
     all_rect_ideals,
@@ -321,6 +322,26 @@ class TestSixWayEquivalence:
             a, b = rng.randint(0, 3), rng.randint(0, 3)
             six = equivalent_transport_conditions(j, k, a, b, p)
             assert len(set(six)) == 1, (p, n, a, b, six)
+
+
+@pytest.mark.slow
+def test_sharded_streams_are_ideals_p2_m12():
+    """Down-closure of every set in four shards of p=2, m=12 (n = 4, 125
+    box points, past the 80-point brute-force oracle): an independent
+    referee of the bounds and their memoized transports.  Opt-in: about
+    74 000 sets at about 1 ms each."""
+    params = Params(p=2, m=12, r=3)
+    for direction in ("backward", "forward"):
+        for index in (5, 37):
+            shard = [
+                layers_to_points(layers)
+                for layers in enumerate_all_r3(
+                    params, mode="stream", direction=direction, shards=(index, 1024)
+                )
+            ]
+            assert shard and len(set(shard)) == len(shard), (direction, index)
+            for pts in shard:
+                assert violated_condition(pts, params) is None, (direction, index)
 
 
 @pytest.mark.parametrize(

@@ -262,7 +262,8 @@ class TestLayerEnumeration:
             keys = [w.heights() for w in cands]
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
             assert reference_seq.walks[i] in cands
-            assert count_layer_sym(i, cum, PARAMS_REF) == len(cands)
+            st = symmetric_bounds(i, cum, PARAMS_REF)
+            assert count_layer_sym(i, *st, PARAMS_REF) == len(cands)
 
 
 def _exhaustive_gate_check(p: int, n: int) -> int:
@@ -282,7 +283,8 @@ def _exhaustive_gate_check(p: int, n: int) -> int:
         fast_sets = {w.ideal_points() for w in fast}
         assert len(fast_sets) == len(fast)
         assert fast_sets == truth
-        assert count_layer_sym(i, cum, params) == len(truth)
+        st = symmetric_bounds(i, cum, params)
+        assert count_layer_sym(i, *st, params) == len(truth)
         host = Rect(0, i, 0, i)
         for cand in all_rect_ideals(host, p):
             w = walk_of(IdealSet2(host, cand), p)
@@ -334,6 +336,11 @@ class TestEnumerateAllSymmetric:
         assert params.n < p
         expected = _cyclically_symmetric_box_count(params.n + 1)
         assert enumerate_all_r1(params, mode="count") == expected
+
+    def test_large_count_p7_m3(self):
+        # cross-check: an orbit-poset referee (rotation orbits of the box,
+        # decided in coordinate-sum order) also counts 826 540 at (7, 3)
+        assert enumerate_all_r1(Params(p=7, m=3, r=1), mode="count") == 826540
 
     def test_cone_case_matches_oracle(self):
         params = Params(p=2, m=6, r=1)
