@@ -92,17 +92,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only:
         print(search(params, mode="count", shards=shards))
         return 0
+    # json.dumps of {"p", "m", "r", key[, "points"]} from cached walk texts
+    head = json.dumps({"p": params.p, "m": params.m, "r": params.r, key: []})[:-2]
+    points = args.format == "points"
     with _emit(args) as out:
         for walks in search(params, mode="stream", shards=shards):
-            rec = {
-                "p": params.p,
-                "m": params.m,
-                "r": params.r,
-                key: [w.to_obj() for w in walks],
-            }
-            if args.format == "points":
-                rec["points"] = sorted(to_points(walks))
-            out.write(json.dumps(rec) + "\n")
+            line = head + ", ".join([w.json_text for w in walks]) + "]"
+            if points:
+                line += ', "points": ' + json.dumps(sorted(to_points(walks)))
+            out.write(line + "}\n")
     return 0
 
 

@@ -24,7 +24,7 @@ makes the output stream canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Literal, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, TypeVar
 
 from .errors import BoundsInverted
 from .order import Params
@@ -52,18 +52,18 @@ def layer_host(params: Params) -> Rect:
 
 @dataclass
 class LayerSequence:
-    """Partial assignment of layer walks, built from one end of the stack."""
+    """Partial assignment of layer walks, built from one end of the stack:
+    the search keeps n + 1 slots, None while unassigned; the bounds only
+    index ``walks``, so a dict of the assigned layers serves them too."""
 
     params: Params
-    walks: dict[int, Walk] = field(default_factory=dict)
+    walks: tuple[Optional[Walk], ...] | dict[int, Walk] = field(default_factory=dict)
 
     def walk(self, i: int) -> Walk:
         return self.walks[i]
 
     def with_layer(self, i: int, w: Walk) -> "LayerSequence":
-        new = dict(self.walks)
-        new[i] = w
-        return LayerSequence(self.params, new)
+        return LayerSequence(self.params, self.walks[:i] + (w,) + self.walks[i + 1 :])
 
 
 def nonempty_lookahead(i: int, seq: LayerSequence) -> Optional[int]:
@@ -75,9 +75,7 @@ def nonempty_lookahead(i: int, seq: LayerSequence) -> Optional[int]:
     return None
 
 
-def nonfull_lookback(
-    i: int, below: dict[int, Walk] | list[Walk], p: int
-) -> Optional[int]:
+def nonfull_lookback(i: int, below: Sequence[Walk], p: int) -> Optional[int]:
     """Largest t with 1 <= t <= p-1, i-t >= 0 and walk i-t below not full."""
     for t in range(min(p - 1, i), 0, -1):
         if not below[i - t].is_full:
@@ -104,7 +102,7 @@ def backward_bounds(i: int, seq: LayerSequence, params: Params) -> tuple[Walk, W
 
 
 def forward_interval(
-    i: int, below: dict[int, Walk] | list[Walk], host: Rect, p: int
+    i: int, below: Sequence[Walk], host: Rect, p: int
 ) -> tuple[Walk, Walk]:
     """The forward rule: walk interval over host for height i given the
     walks below[0..i-1] of the heights under it.
@@ -219,8 +217,9 @@ State = TypeVar("State")
 def depth_first(
     root: State,
     last: int,
-    children: Callable[[int, State], Iterable[State]],
     interval: Callable[[int, State], tuple],
+    choices: Callable[..., Iterable[Walk]],
+    child: Callable[[int, State, Walk], State],
     count_of: Callable[..., int],
     mode: Literal["count", "stream"],
     shards: Optional[tuple[int, int]],
@@ -228,53 +227,63 @@ def depth_first(
     """The search shared by both engines: count or stream the leaves of a
     depth-first tree whose levels are 0..last.
 
-    ``children(depth, state)`` lists the states one level down, in stream
-    order; a stream yields the states reached below level ``last``.  A count
-    stops one level early: each node at level ``last`` computes the key
-    ``interval(last, state)`` of its choices, and ``count_of(*key)`` counts
-    them without listing them.  With ``shards = (index, total)``
+    Each node at a level computes the key ``interval(depth, state)`` of its
+    choices; ``choices(*key)`` lists them in stream order, and the node's
+    children are ``child(depth, state, w)`` for each listed w.  A stream
+    yields the states reached below level ``last``.  A count stops one
+    level early: ``count_of(*key)`` counts the choices of a node at level
+    ``last`` without listing them.  With ``shards = (index, total)``
     the tree is first expanded breadth-first until a level holds at least
     4 * total nodes (or the leaves are reached), and only the nodes of that
     level at positions congruent to index modulo total are explored.
 
-    Memo scope: one call.  The count is a pure function of the key, so a
-    count runs ``count_of`` once per distinct key, in a dict local to the
-    call; every node still computes its own key.  The transport memos of
+    Memo scope: one call.  The listing and the count are pure functions of
+    the key, so the call runs ``choices`` and ``count_of`` once per distinct
+    key, in dicts local to the call, and equal walks listed anywhere in the
+    search are one object (so a walk's cached hash and JSON text serve them
+    all); every node still computes its own key.  The transport memos of
     :mod:`coneideal.walks` are emptied as the call starts, so no search
     reuses a value computed by another.
     """
     for memo in TRANSPORT_MEMOS:
         memo.cache_clear()
+    listings: dict[tuple, tuple] = {}
+    shared: dict[Walk, Walk] = {}
     counts: dict[tuple, int] = {}
 
-    def count(depth: int, state: State) -> int:
-        if depth == last:
-            key = interval(depth, state)
-            found = counts.get(key)
-            if found is None:
-                found = counts[key] = count_of(*key)
-            return found
-        return sum(count(depth + 1, kid) for kid in children(depth, state))
+    def children(depth: int, state: State) -> Iterator[State]:
+        key = interval(depth, state)
+        found = listings.get(key)
+        if found is None:
+            found = tuple(shared.setdefault(w, w) for w in choices(*key))
+            listings[key] = found
+        return (child(depth, state, w) for w in found)
 
-    def stream(depth: int, state: State) -> Iterator[State]:
-        if depth > last:
-            yield state
-            return
-        for kid in children(depth, state):
-            yield from stream(depth + 1, kid)
+    def expand(depth: int, states: Iterable[State]) -> Iterator[State]:
+        return (kid for state in states for kid in children(depth, state))
+
+    def count(state: State) -> int:
+        key = interval(last, state)
+        found = counts.get(key)
+        if found is None:
+            found = counts[key] = count_of(*key)
+        return found
 
     depth, level = 0, [root]
     if shards is not None:
         index, total = shards
         while len(level) < 4 * total and depth <= last:
-            level = [kid for state in level for kid in children(depth, state)]
+            level = list(expand(depth, level))
             depth += 1
         level = level[index::total]
-    if mode == "count":
-        if depth > last:
-            return len(level)
-        return sum(count(depth, state) for state in level)
-    return (leaf for state in level for leaf in stream(depth, state))
+    if mode == "count" and depth > last:
+        return len(level)
+    # chained generators walk the tree depth-first; no function refers to
+    # itself, so the memos are freed as soon as the search is dropped
+    nodes = iter(level)
+    for d in range(depth, last if mode == "count" else last + 1):
+        nodes = expand(d, nodes)
+    return sum(map(count, nodes)) if mode == "count" else nodes
 
 
 def enumerate_all_r3(
@@ -294,21 +303,20 @@ def enumerate_all_r3(
         levels.reverse()
     bounds = backward_bounds if direction == "backward" else forward_bounds
 
-    def children(depth: int, seq: LayerSequence) -> Iterator[LayerSequence]:
-        i = levels[depth]
-        lower, upper = bounds(i, seq, params)
-        return (seq.with_layer(i, w) for w in enumerate_interval(lower, upper))
-
     def interval(depth: int, seq: LayerSequence) -> tuple[Walk, Walk]:
         return bounds(levels[depth], seq, params)
 
-    root = LayerSequence(params)
+    def child(depth: int, seq: LayerSequence, w: Walk) -> LayerSequence:
+        return seq.with_layer(levels[depth], w)
+
+    root = LayerSequence(params, (None,) * (params.n + 1))
     found = depth_first(
-        root, params.n, children, interval, count_interval, mode, shards
+        root, params.n, interval, enumerate_interval, child, count_interval,
+        mode, shards,
     )
     if mode == "count":
         return found
-    return (tuple(seq.walk(i) for i in range(params.n + 1)) for seq in found)
+    return (seq.walks for seq in found)
 
 
 def layers_to_points(layers: tuple[Walk, ...]) -> frozenset[tuple[int, int, int]]:

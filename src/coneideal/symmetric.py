@@ -155,13 +155,14 @@ def _layer_intervals(
             yield join(s_walk, lower), meet(t_walk, upper)
 
 
-def enumerate_layer_sym(i: int, cum: list[Walk], params: Params) -> list[Walk]:
-    """All shell-i layers consistent with the accumulated sections, sorted
-    by column heights."""
+def enumerate_layer_sym(
+    i: int, s_walk: Walk, t_walk: Walk, params: Params
+) -> list[Walk]:
+    """All consistent shell-i layers, sorted by column heights: a function
+    of the forward interval [S, T] of :func:`symmetric_bounds` alone."""
     if i == 0:
         host = shell_host(0)
         return [empty_walk(host, params.p), full_walk(host, params.p)]
-    s_walk, t_walk = symmetric_bounds(i, cum, params)
     out = [
         w
         for lower, upper in _layer_intervals(i, s_walk, t_walk, params.p)
@@ -191,20 +192,19 @@ def enumerate_all_r1(
     works as in :func:`coneideal.slicing.depth_first`.
     """
 
-    def children(depth: int, seq: SymLayerSequence) -> Iterator[SymLayerSequence]:
-        cum = accumulated_walks(seq, depth) if depth else []
-        return (
-            SymLayerSequence(params, seq.walks + [w])
-            for w in enumerate_layer_sym(depth, cum, params)
-        )
-
     def interval(depth: int, seq: SymLayerSequence) -> tuple[int, Walk, Walk]:
-        cum = accumulated_walks(seq, depth)
+        cum = accumulated_walks(seq, depth) if depth else []
         return (depth, *symmetric_bounds(depth, cum, params))
 
+    def child(depth: int, seq: SymLayerSequence, w: Walk) -> SymLayerSequence:
+        return SymLayerSequence(params, seq.walks + [w])
+
     root = SymLayerSequence(params, [])
+    choices = partial(enumerate_layer_sym, params=params)
     count_of = partial(count_layer_sym, params=params)
-    found = depth_first(root, params.n, children, interval, count_of, mode, shards)
+    found = depth_first(
+        root, params.n, interval, choices, child, count_of, mode, shards
+    )
     if mode == "count":
         return found
     return (tuple(seq.walks) for seq in found)

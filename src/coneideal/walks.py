@@ -20,6 +20,7 @@ their target; the extensions to a bigger rectangle are the zero shifts.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Literal
@@ -68,12 +69,18 @@ class Rect:
 @dataclass(frozen=True)
 class Walk:
     """An ideal of ``host`` stored as its column heights; host.c - 1 marks
-    an empty column.  The corner sequence of the boundary is derived on
-    first use; equality and hashing see only host, p and the heights."""
+    an empty column.  The boundary's corners, its JSON text and the hash
+    are computed on first use; equality and hashing see host, p and hs."""
 
     host: Rect
     p: int
     hs: tuple[int, ...]
+
+    def __hash__(self) -> int:
+        found = self.__dict__.get("_hash")
+        if found is None:
+            found = self.__dict__["_hash"] = hash((self.host, self.p, self.hs))
+        return found
 
     @property
     def is_empty(self) -> bool:
@@ -112,6 +119,11 @@ class Walk:
         """JSON-ready form: host [a,b,c,d] plus the corner pair array."""
         h = self.host
         return {"host": [h.a, h.b, h.c, h.d], "points": [list(q) for q in self.points]}
+
+    @cached_property
+    def json_text(self) -> str:
+        """``json.dumps(self.to_obj())``, encoded once per walk."""
+        return json.dumps(self.to_obj())
 
 
 def walk_from_obj(obj: dict, p: int) -> Walk:

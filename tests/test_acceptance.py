@@ -185,7 +185,7 @@ def _exhaustive_gates(p: int, n: int) -> int:
         }
         seq = SymLayerSequence(params, prefix_walks)
         cum = accumulated_walks(seq, i) if i else []
-        fast = enumerate_layer_sym(i, cum, params)
+        fast = enumerate_layer_sym(i, *symmetric_bounds(i, cum, params), params)
         assert {w.ideal_points() for w in fast} == truth
         host = Rect(0, i, 0, i)
         for cand in all_rect_ideals(host, p):
@@ -351,7 +351,7 @@ def test_criterion_8_reference_replays(announce):
             s_walk, t_walk = symmetric_bounds(i, cum, params_s)
             assert s_walk.points == SYMMETRIC_S[i]
             assert t_walk.points == SYMMETRIC_T[i]
-            assert walks[i] in enumerate_layer_sym(i, cum, params_s)
+            assert walks[i] in enumerate_layer_sym(i, s_walk, t_walk, params_s)
         assert SYMMETRIC_S[1] == () and SYMMETRIC_T[1] == ((1, 1),)
         assert SYMMETRIC_S[2] == () and SYMMETRIC_T[2] == ((2, 2),)
         assert SYMMETRIC_S[3] == () and SYMMETRIC_T[3] == ((3, 3),)

@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from coneideal.cli import main
+from coneideal.cli import _engine, main
 from coneideal.render import ascii_layers, layer_counts, svg_cubes
-from coneideal.order import rotate
+from coneideal.order import Params, rotate
 
 from conftest import EXAMPLE_DEFINING, EXAMPLE_IDEAL
 
@@ -169,6 +169,34 @@ def test_canonical_stream(capsys, p, m, r, lines, jsonl_sha, points_sha, fmt):
     assert data.count(b"\n") == lines
     expected = jsonl_sha if fmt == "jsonl" else points_sha
     assert hashlib.sha256(data).hexdigest() == expected
+
+
+# (p, m, r, shards) streams whose assembled lines are compared with the
+# dict records the stream encodes; the canonical sha256s above cover only
+# unsharded streams.
+RECORD_STREAMS = [(2, 6, 1, None), (3, 3, 3, None), (5, 3, 1, None), (2, 9, 3, (1, 4))]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "points"])
+@pytest.mark.parametrize(
+    "p,m,r,shards", RECORD_STREAMS, ids=[f"p{c[0]}-m{c[1]}-r{c[2]}" for c in RECORD_STREAMS]
+)
+def test_lines_equal_encoded_records(capsys, p, m, r, shards, fmt):
+    argv = ["enumerate", "--p", str(p), "--m", str(m), "--r", str(r), "--format", fmt]
+    if shards is not None:
+        argv += ["--shard", str(shards[0]), "--shards", str(shards[1])]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    params = Params(p=p, m=m, r=r)
+    search, key, to_points = _engine(params)
+    expected = []
+    for walks in search(params, mode="stream", shards=shards):
+        rec = {"p": p, "m": m, "r": r, key: [w.to_obj() for w in walks]}
+        if fmt == "points":
+            rec["points"] = sorted(to_points(walks))
+        expected.append(json.dumps(rec))
+    assert out.splitlines() == expected
+    assert out.endswith("\n")
 
 
 class TestDefiningSet:

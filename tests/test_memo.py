@@ -1,11 +1,16 @@
-"""Search-scoped memos: the last-level count memo of ``slicing.depth_first``
-and the transport memos of ``coneideal.walks``.
+"""Search-scoped memos: the listing and count memos of
+``slicing.depth_first`` and the transport memos of ``coneideal.walks``.
 
-A count must equal the length of the matching stream, which memoizes no
-count, and each distinct last-level interval is counted exactly once.  The
-memos live for one search: answers do not depend on what ran before, and
-every search starts with empty transport memos.
+A count must equal the length of the matching stream.  Each distinct
+interval key is listed exactly once per stream and each distinct
+last-level key counted exactly once per count, while every node still
+computes its own key; equal listed walks are one object.  The memos live
+for one search: answers do not depend on what ran before, every search
+starts with empty transport memos, and no walk a search built (with its
+cached JSON text) outlives it.
 """
+
+import weakref
 
 import pytest
 
@@ -14,7 +19,12 @@ from coneideal.errors import InconsistentInput
 from coneideal.order import Params
 from coneideal.slicing import enumerate_all_r3
 from coneideal.symmetric import enumerate_all_r1
-from coneideal.walks import ideal_transport, transport_upper_bound
+from coneideal.walks import (
+    TRANSPORT_MEMOS,
+    Walk,
+    ideal_transport,
+    transport_upper_bound,
+)
 
 R1_INSTANCES = [(2, 12), (2, 15), (3, 6), (5, 3)]
 R3_INSTANCES = [(2, 9), (3, 3)]
@@ -105,3 +115,80 @@ def test_each_search_starts_with_empty_memos(monkeypatch):
     assert search(b) == first_b
     for info in first_a[2] + first_b[2]:
         assert info.hits > 0
+
+
+
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+@pytest.mark.parametrize("p,m", R3_INSTANCES)
+def test_r3_stream_lists_each_interval_once(monkeypatch, p, m, direction):
+    params = Params(p=p, m=m, r=3)
+    count = enumerate_all_r3(params, mode="count", direction=direction)
+    bounds, listed = [], []
+    _spy(monkeypatch, slicing, f"{direction}_bounds", bounds)
+    _spy(monkeypatch, slicing, "enumerate_interval", listed)
+    stream = enumerate_all_r3(params, mode="stream", direction=direction)
+    assert sum(1 for _ in stream) == count
+    keys = [pair for _, pair in bounds]
+    assert len(listed) == len(set(keys)) < len(keys)
+    assert [args for args, _ in listed] == list(dict.fromkeys(keys))
+
+
+@pytest.mark.parametrize("p,m", R1_INSTANCES)
+def test_r1_stream_lists_each_interval_once(monkeypatch, p, m):
+    params = Params(p=p, m=m, r=1)
+    count = enumerate_all_r1(params, mode="count")
+    bounds, listed = [], []
+    _spy(monkeypatch, symmetric, "symmetric_bounds", bounds)
+    _spy(monkeypatch, symmetric, "_layer_intervals", listed)
+    assert sum(1 for _ in enumerate_all_r1(params, mode="stream")) == count
+    # shell 0 is listed without the reach cases
+    keys = [(i, *st) for (i, _, _), st in bounds if i > 0]
+    assert len(listed) == len(set(keys)) < len(keys)
+    assert [args[:3] for args, _ in listed] == list(dict.fromkeys(keys))
+
+
+def _walk_stream(inst, shards=None):
+    p, m, r = inst
+    engine = enumerate_all_r1 if r == 1 else enumerate_all_r3
+    return engine(Params(p=p, m=m, r=r), mode="stream", shards=shards)
+
+
+def _stream(inst, shards=None):
+    return [tuple(w.hs for w in leaf) for leaf in _walk_stream(inst, shards)]
+
+
+def test_streams_repeat_across_searches():
+    a, b = (2, 9, 1), (2, 9, 3)
+    first_a, first_b = _stream(a), _stream(b)
+    assert (len(first_a), len(first_b)) == (87, 38562)
+    assert _stream(a) == first_a
+    assert _stream(b) == first_b
+
+
+@pytest.mark.parametrize("inst", [(2, 12, 1), (3, 3, 3)])
+def test_sharded_streams_partition_the_stream(inst):
+    whole = _stream(inst)
+    shards = [_stream(inst, (i, 4)) for i in range(4)]
+    joined = [leaf for shard in shards for leaf in shard]
+    assert all(shards)
+    assert len(set(joined)) == len(joined) == len(whole)
+    assert set(joined) == set(whole)
+
+
+@pytest.mark.parametrize("inst", [(2, 15, 1), (2, 9, 3)])
+def test_equal_walks_are_one_object(inst):
+    walks = [w for leaf in _walk_stream(inst) for w in leaf]
+    assert len({id(w) for w in walks}) == len(set(walks)) < len(walks)
+
+
+@pytest.mark.parametrize("inst", [(2, 12, 1), (2, 9, 3)])
+def test_no_walk_outlives_its_stream(inst):
+    leaves = _walk_stream(inst)
+    refs = [weakref.ref(w) for leaf in leaves for w in leaf if w.json_text]
+    # the module-level tables: the transport memos, which the next search
+    # empties, and the reach cases, which are fixed per shell; without a
+    # collection, so the search's memos must not sit in a reference cycle
+    for memo in TRANSPORT_MEMOS:
+        memo.cache_clear()
+    symmetric._reach_cases.cache_clear()
+    assert refs and all(ref() is None for ref in refs)

@@ -16,6 +16,7 @@ from coneideal.symmetric import (
     SymLayerSequence,
     accumulated_walks,
     enumerate_layer_sym,
+    symmetric_bounds,
 )
 from coneideal.walks import (
     IdealSet2,
@@ -119,7 +120,8 @@ class TestLiftedTransport:
                     if j
                     else []
                 )
-                walks.append(rng.choice(enumerate_layer_sym(j, cum, params)))
+                st = symmetric_bounds(j, cum, params)
+                walks.append(rng.choice(enumerate_layer_sym(j, *st, params)))
             i = depth
             cum = accumulated_walks(SymLayerSequence(params, walks), i)
             big = Rect(0, i, 0, i)
@@ -194,11 +196,8 @@ def _consistent_prefixes(params, depth, rng, count):
     for _ in range(count):
         walks = []
         for j in range(depth):
-            if j == 0:
-                cands = enumerate_layer_sym(0, [], params)
-            else:
-                cum = accumulated_walks(SymLayerSequence(params, walks), j)
-                cands = enumerate_layer_sym(j, cum, params)
+            cum = accumulated_walks(SymLayerSequence(params, walks), j) if j else []
+            cands = enumerate_layer_sym(j, *symmetric_bounds(j, cum, params), params)
             walks.append(rng.choice(cands))
         out.append(walks)
     return out

@@ -141,7 +141,8 @@ class TestClassifyReach:
             cum = accumulated_walks(
                 SymLayerSequence(PARAMS_REF, reference_seq.walks[:i]), i
             )
-            for w in enumerate_layer_sym(i, cum, PARAMS_REF):
+            st = symmetric_bounds(i, cum, PARAMS_REF)
+            for w in enumerate_layer_sym(i, *st, PARAMS_REF):
                 hs = w.heights()
                 kind = classify_reach(w, i)
                 if kind is LayerReach.CORNER:
@@ -227,7 +228,8 @@ class TestPalindrome:
             cum = accumulated_walks(
                 SymLayerSequence(PARAMS_REF, reference_seq.walks[:i]), i
             )
-            for w in enumerate_layer_sym(i, cum, PARAMS_REF):
+            st = symmetric_bounds(i, cum, PARAMS_REF)
+            for w in enumerate_layer_sym(i, *st, PARAMS_REF):
                 assert is_palindromic(w, i)
 
 
@@ -236,7 +238,8 @@ class TestLayerEnumeration:
         params = Params(p=2, m=3, r=1)
         seq = SymLayerSequence(params, [walk_from_corners(Rect(0, 0, 0, 0), 2, ((0, 0),))])
         cum = accumulated_walks(seq, 1)
-        got = {w.ideal_points() for w in enumerate_layer_sym(1, cum, params)}
+        st = symmetric_bounds(1, cum, params)
+        got = {w.ideal_points() for w in enumerate_layer_sym(1, *st, params)}
         expected = {
             frozenset(),
             frozenset({(0, 0)}),
@@ -250,7 +253,7 @@ class TestLayerEnumeration:
         walks = [empty_walk(Rect(0, j, 0, j), 3) for j in range(3)]
         seq = SymLayerSequence(params, walks)
         cum = accumulated_walks(seq, 3)
-        got = enumerate_layer_sym(3, cum, params)
+        got = enumerate_layer_sym(3, *symmetric_bounds(3, cum, params), params)
         assert any(w.is_empty for w in got)
 
     def test_reference_choices_emitted(self, reference_seq):
@@ -258,11 +261,11 @@ class TestLayerEnumeration:
             cum = accumulated_walks(
                 SymLayerSequence(PARAMS_REF, reference_seq.walks[:i]), i
             )
-            cands = enumerate_layer_sym(i, cum, PARAMS_REF)
+            st = symmetric_bounds(i, cum, PARAMS_REF)
+            cands = enumerate_layer_sym(i, *st, PARAMS_REF)
             keys = [w.heights() for w in cands]
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
             assert reference_seq.walks[i] in cands
-            st = symmetric_bounds(i, cum, PARAMS_REF)
             assert count_layer_sym(i, *st, PARAMS_REF) == len(cands)
 
 
@@ -279,11 +282,11 @@ def _exhaustive_gate_check(p: int, n: int) -> int:
         truth = set(brute_layer_candidates("symmetric", prefix_sets, i, params))
         seq = SymLayerSequence(params, prefix_walks)
         cum = accumulated_walks(seq, i) if i else []
-        fast = enumerate_layer_sym(i, cum, params)
+        st = symmetric_bounds(i, cum, params)
+        fast = enumerate_layer_sym(i, *st, params)
         fast_sets = {w.ideal_points() for w in fast}
         assert len(fast_sets) == len(fast)
         assert fast_sets == truth
-        st = symmetric_bounds(i, cum, params)
         assert count_layer_sym(i, *st, params) == len(truth)
         host = Rect(0, i, 0, i)
         for cand in all_rect_ideals(host, p):
@@ -457,7 +460,10 @@ class TestShellFiveDefect:
 
     def test_defect_layer_is_emitted_and_rejected(self):
         seq = _defect_stack(5)
-        cands = enumerate_layer_sym(5, accumulated_walks(seq, 5), DEFECT_PARAMS)
+        cum = accumulated_walks(seq, 5)
+        cands = enumerate_layer_sym(
+            5, *symmetric_bounds(5, cum, DEFECT_PARAMS), DEFECT_PARAMS
+        )
         assert len(cands) == 61
         bad = _defect_stack(6).walks[5]
         assert bad.heights() == (5, 2, 2, 1, 1, 0)
@@ -472,5 +478,8 @@ class TestShellFiveDefect:
     )
     def test_every_emitted_layer_is_consistent(self):
         seq = _defect_stack(5)
-        cands = enumerate_layer_sym(5, accumulated_walks(seq, 5), DEFECT_PARAMS)
+        cum = accumulated_walks(seq, 5)
+        cands = enumerate_layer_sym(
+            5, *symmetric_bounds(5, cum, DEFECT_PARAMS), DEFECT_PARAMS
+        )
         assert all(is_consistent_sym(5, w, seq) for w in cands)

@@ -196,6 +196,26 @@ class TestLattice:
         assert walk_leq(w1, join(w1, w2))
         assert walk_leq(w1, w2) == (s1 <= s2)
 
+    def test_equal_walks_hash_equal_across_routes(self):
+        host, p = Rect(0, 3, 0, 3), 2
+        by_heights = walk_from_heights((3, 2, 1, 0), host, p)
+        by_meet = meet(
+            walk_from_heights((3, 3, 1, 0), host, p),
+            walk_from_heights((3, 2, 2, 0), host, p),
+        )
+        corners = ((0, 3), (0, 2), (1, 2), (1, 1), (2, 1), (2, 0), (3, 0))
+        by_corners = walk_from_corners(host, p, corners)
+        routes = (by_heights, by_meet, by_corners)
+        assert len({id(w) for w in routes}) == 3
+        for w in routes:
+            memo = {w: "found"}
+            for other in routes:
+                assert other == w and hash(other) == hash(w)
+                assert memo[other] == "found"
+        # equality sees host and p as well as the heights
+        assert walk_from_heights((3, 2, 1, 0), host, 3) not in {by_heights}
+        assert walk_from_heights((5, 4, 3, 2), host.shifted(0, 2), p) not in {by_heights}
+
     def test_lattice_laws_exhaustive_tiny(self):
         host, p = Rect(0, 2, 0, 2), 2
         walks = [walk_of(IdealSet2(host, s), p) for s in all_rect_ideals(host, p)]
