@@ -81,7 +81,7 @@ def _engine(params: Params) -> tuple[Callable, str, Callable]:
     return (
         enumerate_all_r1,
         "sym_layers",
-        lambda walks: assembled_points(SymLayerSequence(params, list(walks))),
+        lambda walks: assembled_points(SymLayerSequence(params, walks)),
     )
 
 

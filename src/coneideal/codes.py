@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapExceeded, NotInvariant, OutOfRange
 from .fields import DEFAULT_FIELD_CAP, SmallField, Subfield, shared_field
-from .order import Params, Point3, precedes3, rotate
+from .order import Params, Point3, rotate
 
 DEFAULT_SCAN_CAP = 10**7
 
@@ -100,15 +100,23 @@ def violated_condition(ideal: frozenset[Point3], params: Params) -> Optional[str
         for u in ideal:
             if rotate(u) not in ideal:
                 return f"rotation image of {u} missing"
-    for x in range(n + 1):
-        for y in range(n + 1):
-            for z in range(n + 1):
-                w = (x, y, z)
-                if w in ideal:
-                    continue
-                for u in ideal:
-                    if precedes3(w, u, p):
-                        return f"{w} below {u} but missing"
+    # w precedes u when w . a <= u . a for each column a of ``cone``; the
+    # missing points meet the members, in order, in blocks of about 2^16 pairs
+    us = list(ideal)
+    pts = np.array(us, dtype=int).reshape(-1, 3)
+    cone = np.array([[1, p, p * p], [p * p, 1, p], [p, p * p, 1]]).T
+    u_dots = pts @ cone
+    member = np.zeros((n + 1,) * 3, dtype=bool)
+    member[tuple(pts.T)] = True
+    missing = np.argwhere(~member)
+    rows = 2**16 // (len(us) + 1) + 1
+    for start in range(0, len(missing), rows):
+        ws = missing[start : start + rows]
+        below = ((ws @ cone)[:, None] <= u_dots).all(axis=2)
+        hits = below.any(axis=1)
+        if hits.any():
+            k = hits.argmax()
+            return f"{tuple(map(int, ws[k]))} below {us[below[k].argmax()]} but missing"
     return None
 
 

@@ -5,29 +5,25 @@ all coordinates <= i and at least one equal to i.  A rotation-invariant
 ideal meets shell i in the three rotated copies of a single planar ideal
 J_i of [0,i]^2 whose top row and right column match (the palindrome
 condition).  The layers below i accumulate into per-height cross sections
-of [0,i-1]^2, read straight off the shell heights, and the forward rule of
-the plain layers (:func:`coneideal.slicing.forward_interval`) applied to
-those sections puts the admissible J_i between two walks S and T.  The
-choice further splits by how far J_i reaches into the last two columns (no
-reach / column i-1 only / column i).  Each reach case is a fixed walk pair
-(L, U) that depends only on i and p, built once per shell; at a search node
-the case's layers are the plain walk interval [S v L, T ^ U].
+of [0,i-1]^2, which the search carries down: each chosen layer updates
+them in one step read off its heights.  The forward rule of the plain
+layers (:func:`coneideal.slicing.forward_interval`) applied to those
+sections puts the admissible J_i between two walks S and T.  The choice
+further splits by how far J_i reaches into the last two columns (no reach /
+column i-1 only / column i).  Each reach case is a fixed walk pair (L, U)
+that depends only on i and p, built once per shell; at a search node the
+case's layers are the plain walk interval [S v L, T ^ U].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Iterator, Literal, Optional
+from functools import lru_cache, partial, reduce
+from typing import Iterator, Literal, Optional, Sequence
 
 from .errors import InconsistentInput, NotAnIdeal
 from .order import Params, Point2, Point3, rotate
-from .slicing import (
-    count_interval,
-    depth_first,
-    enumerate_interval,
-    forward_interval,
-)
+from .slicing import count_interval, depth_first, enumerate_interval, forward_interval
 from .walks import (
     Rect,
     Walk,
@@ -45,10 +41,10 @@ from .walks import (
 
 @dataclass
 class SymLayerSequence:
-    """Shell layers: walks[j] bounds the layer of shell j, host [0,j]^2."""
+    """Shell layers, a tuple: walks[j] bounds the layer of shell j, host [0,j]^2."""
 
     params: Params
-    walks: list[Walk]
+    walks: tuple[Walk, ...]
 
 
 def shell_host(i: int) -> Rect:
@@ -67,45 +63,42 @@ def assembled_points(seq: SymLayerSequence) -> frozenset[Point3]:
 
 
 def accumulated_walks(seq: SymLayerSequence, i: int) -> list[Walk]:
-    """Per-height cross sections of the union of rotated layers 0..i-1.
+    """Per-height cross sections of the union of rotated layers 0..i-1:
+    entry s is the walk of the z = s section, an ideal of [0,i-1]^2."""
+    return list(reduce(_with_shell, seq.walks[:i], ()))
 
-    Entry s is the walk of the z = s section, an ideal of [0,i-1]^2, read
-    off the shell heights hss[j] of the layers: column x holds
 
-    * rows 0..hss[s][x] of the layer J_s itself (x <= s),
-    * rows 0..#{x' : hss[x][x'] >= s} - 1, the rotated layer J_x (x >= s),
-    * row j for every j >= s with hss[j][s] >= x, the other rotation of J_j.
+def _with_shell(sections: tuple[Walk, ...], w: Walk) -> tuple[Walk, ...]:
+    """The cross sections once layer J_i = w of shell i = len(sections)
+    joins them, all on [0,i]^2.
 
-    Raises InconsistentInput when a column has a gap or the heights are not
-    a closed profile.
+    J_i opens section i with its own heights.  Its two rotated copies put,
+    in every section s <= i, column i up to #{x : J_i[x] >= s} - 1 and
+    row i over columns 0..J_i[s].  Raises InconsistentInput when a column
+    has a gap or the heights are not a closed profile.
     """
-    p = seq.params.p
-    host = Rect(0, i - 1, 0, i - 1)
-    hss = [w.hs for w in seq.walks[:i]]
-    # rot[x][s] = #{x' : hss[x][x'] >= s} - 1, row s of the transposed layer x
-    rot = [[sum(v >= s for v in hs) - 1 for s in range(len(hs))] for hs in hss]
+    i = len(sections)
+    host = shell_host(i)
+    hs = w.hs
     out = []
-    for s in range(i):
-        heights = list(hss[s]) + [rot[x][s] for x in range(s + 1, i)]
-        heights[s] = max(heights[s], rot[s][s])
-        # row j spans columns 0..hss[j][s]; rows go up one at a time, so a
-        # column below row j - 1 here has a gap
-        for j in range(s, i):
-            for x in range(hss[j][s] + 1):
-                if heights[x] < j - 1:
-                    raise InconsistentInput(f"section {s} has a gap in column {x}")
-                if heights[x] < j:
-                    heights[x] = j
+    for s in range(i + 1):
+        col = sum(v >= s for v in hs) - 1
+        heights = [*sections[s].hs, col] if s < i else [*hs[:i], max(hs[i], col)]
+        # rows go up one at a time: a column below row i - 1 has a gap
+        for x in range(hs[s] + 1):
+            if heights[x] < i - 1:
+                raise InconsistentInput(f"section {s} has a gap in column {x}")
+            heights[x] = i
         try:
-            out.append(walk_from_heights(tuple(heights), host, p))
+            out.append(walk_from_heights(tuple(heights), host, w.p))
         except NotAnIdeal as exc:
             raise InconsistentInput(
                 f"section {s} heights {heights} are not an ideal"
             ) from exc
-    return out
+    return tuple(out)
 
 
-def symmetric_bounds(i: int, cum: list[Walk], params: Params) -> tuple[Walk, Walk]:
+def symmetric_bounds(i: int, cum: Sequence[Walk], params: Params) -> tuple[Walk, Walk]:
     """Walk interval [S, T] for shell layer i: the forward rule applied to
     the accumulated sections."""
     return forward_interval(i, cum, shell_host(i), params.p)
@@ -188,23 +181,22 @@ def enumerate_all_r1(
 ):
     """Count or stream every rotation-invariant ideal of the box.
 
-    Stream mode yields tuples of shell walks (W_0, ..., W_n); ``shards``
-    works as in :func:`coneideal.slicing.depth_first`.
+    A search node is its tuple of shell walks with their cross sections,
+    which each child updates by one :func:`_with_shell` step.  Stream mode
+    yields the tuples of shell walks (W_0, ..., W_n); ``shards`` works as
+    in :func:`coneideal.slicing.depth_first`.
     """
+    n = params.n
 
-    def interval(depth: int, seq: SymLayerSequence) -> tuple[int, Walk, Walk]:
-        cum = accumulated_walks(seq, depth) if depth else []
-        return (depth, *symmetric_bounds(depth, cum, params))
+    def interval(depth: int, node: tuple) -> tuple[int, Walk, Walk]:
+        return (depth, *symmetric_bounds(depth, node[1], params))
 
-    def child(depth: int, seq: SymLayerSequence, w: Walk) -> SymLayerSequence:
-        return SymLayerSequence(params, seq.walks + [w])
+    def child(depth: int, node: tuple, w: Walk) -> tuple:
+        walks, sections = node
+        # a leaf's sections would bound nothing
+        return walks + (w,), (sections if depth == n else _with_shell(sections, w))
 
-    root = SymLayerSequence(params, [])
     choices = partial(enumerate_layer_sym, params=params)
     count_of = partial(count_layer_sym, params=params)
-    found = depth_first(
-        root, params.n, interval, choices, child, count_of, mode, shards
-    )
-    if mode == "count":
-        return found
-    return (tuple(seq.walks) for seq in found)
+    found = depth_first(((), ()), n, interval, choices, child, count_of, mode, shards)
+    return found if mode == "count" else (walks for walks, _ in found)

@@ -363,7 +363,7 @@ def test_criterion_9_code_correspondence(announce):
         for p, m, expected in ((2, 3, 5), (3, 3, 20)):
             params = Params(p=p, m=m, r=1)
             ideals = [
-                assembled_points(SymLayerSequence(params, list(ws)))
+                assembled_points(SymLayerSequence(params, ws))
                 for ws in enumerate_all_r1(params, mode="stream")
             ]
             assert len(ideals) == expected

@@ -26,12 +26,14 @@ from coneideal.errors import CapExceeded, NotInvariant, OutOfRange
 from coneideal.fields import SmallField, least_irreducible
 from coneideal.oracle import (
     group_closure_order,
+    ideal_3d,
     kernel_basis,
+    rotation_invariant_3d,
     scalar_rref,
     verify_invariance_on_words,
     word_in_code,
 )
-from coneideal.order import Params
+from coneideal.order import Params, precedes3, rotate
 from coneideal.slicing import enumerate_all_r3, layers_to_points
 from coneideal.symmetric import SymLayerSequence, assembled_points, enumerate_all_r1
 
@@ -46,7 +48,7 @@ FULL_23 = frozenset(
 
 def r1_ideals(params):
     return [
-        assembled_points(SymLayerSequence(params, list(walks)))
+        assembled_points(SymLayerSequence(params, walks))
         for walks in enumerate_all_r1(params, mode="stream")
     ]
 
@@ -161,6 +163,98 @@ class TestInvariance:
         s = frozenset({(0, 0, 0), (1, 0, 0)})
         assert not is_invariant_ideal(s, P23)
         assert is_invariant_ideal(s, Params(p=2, m=3, r=3))
+
+
+def _first_violation_scan(ideal, params):
+    """Down-closure failure by the plain scan: the first missing box point
+    in (x, y, z) order below some member, and its first such member in the
+    set's iteration order."""
+    n = params.n
+    for w in itertools.product(range(n + 1), repeat=3):
+        if w not in ideal:
+            for u in ideal:
+                if precedes3(w, u, params.p):
+                    return f"{w} below {u} but missing"
+    return None
+
+
+def _orbit(u):
+    return {u, rotate(u), rotate(rotate(u))}
+
+
+class TestViolatedCondition:
+    @pytest.mark.parametrize(
+        "p,m,r",
+        [(2, 3, 1), (2, 3, 3), (3, 3, 1), (3, 3, 3), (2, 6, 1), (2, 6, 3), (5, 3, 1)],
+    )
+    def test_matches_scan_and_oracle_on_random_sets(self, p, m, r):
+        params = Params(p=p, m=m, r=r)
+        n = params.n
+        rng = random.Random(100 * p + 10 * m + r)
+        ideals = r1_ideals(params) if r == 1 else r3_ideals(params)
+        box = list(itertools.product(range(n + 1), repeat=3))
+        verdicts = set()
+        for _ in range(200):
+            kind = rng.randrange(3)
+            if kind == 0:
+                density = rng.random()
+                s = {u for u in box if rng.random() < density * density}
+            else:
+                s = set(rng.choice(ideals))
+                if kind == 2:
+                    s ^= {rng.choice(box)}
+            if r == 1:
+                s = {v for u in s for v in _orbit(u)}
+            s = frozenset(s)
+            reason = violated_condition(s, params)
+            truth = ideal_3d(s, n, p) and (r == 3 or rotation_invariant_3d(s))
+            assert (reason is None) == truth, sorted(s)
+            assert reason == _first_violation_scan(s, params), sorted(s)
+            verdicts.add(truth)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "ideal,params,message",
+        [
+            (frozenset({(1, 0, 0)}), Params(2, 3, 3), "(0, 0, 0) below (1, 0, 0)"),
+            (EXAMPLE_IDEAL - {(0, 0, 0)}, Params(3, 6, 1), "(0, 0, 0) below (1, 0, 1)"),
+            (
+                EXAMPLE_IDEAL - _orbit((1, 0, 0)),
+                Params(3, 6, 1),
+                "(0, 0, 1) below (1, 0, 1)",
+            ),
+            (
+                EXAMPLE_IDEAL - _orbit((2, 0, 0)),
+                Params(3, 6, 1),
+                "(0, 0, 2) below (0, 0, 3)",
+            ),
+            (frozenset({(3, 3, 3)}), Params(2, 9, 3), "(0, 0, 0) below (3, 3, 3)"),
+            (
+                frozenset({(0, 0, 0), (0, 0, 1), (0, 0, 2), (2, 0, 0)}),
+                Params(2, 9, 3),
+                "(0, 1, 0) below (2, 0, 0)",
+            ),
+        ],
+    )
+    def test_pinned_messages(self, ideal, params, message):
+        assert violated_condition(ideal, params) == f"{message} but missing"
+
+    def test_blocks_keep_scan_order(self):
+        # 265 members at n = 9: blocks of 247 missing points, and the three
+        # removals below are first found in the first, second and third block
+        params = Params(p=2, m=27, r=3)
+        box = list(itertools.product(range(params.n + 1), repeat=3))
+        gens = [(9, 3, 0), (2, 9, 1), (4, 4, 4), (0, 1, 9)]
+        ideal = frozenset(w for w in box if any(precedes3(w, g, 2) for g in gens))
+        assert len(ideal) == 265 and violated_condition(ideal, params) is None
+        for u in [(2, 7, 1), (5, 2, 1), (8, 1, 0)]:
+            s = ideal - {u}
+            reason = violated_condition(s, params)
+            assert reason.startswith(f"{u} below")
+            assert reason == _first_violation_scan(s, params)
+
+    def test_empty_set_is_an_ideal(self):
+        assert violated_condition(frozenset(), Params(2, 9, 3)) is None
 
 
 class TestSmallField:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from coneideal import symmetric
 from coneideal.codes import violated_condition
 from coneideal.errors import InconsistentInput
 from coneideal.oracle import (
@@ -37,6 +38,7 @@ from coneideal.walks import (
     empty_walk,
     full_walk,
     walk_from_corners,
+    walk_from_heights,
     walk_of,
 )
 
@@ -95,11 +97,53 @@ class TestAccumulate:
             for i in range(1, params.n + 1)
         }
         for shells in nodes:
-            seq = SymLayerSequence(params, list(shells))
+            seq = SymLayerSequence(params, shells)
             i = len(shells)
             assert accumulated_walks(seq, i) == [
                 walk_of(s, p) for s in accumulate_layers(seq, i)
             ], shells
+
+    @pytest.mark.parametrize("p,m", [(2, 6), (2, 9), (3, 3), (5, 3)])
+    @pytest.mark.parametrize("mode", ["count", "stream"])
+    def test_search_carries_point_set_sections(self, monkeypatch, p, m, mode):
+        # every node's bounds read the sections of that node's own shells,
+        # and the per-shell step runs once per node below the root, never
+        # for a leaf
+        params = Params(p=p, m=m, r=1)
+        total = enumerate_all_r1(params, mode="count")
+        real_first, real_bounds = symmetric.depth_first, symmetric.symmetric_bounds
+        real_step = symmetric._with_shell
+        node_shells = []
+        checked = [0, 0]
+
+        def first(root, last, interval, *rest):
+            def spied(depth, node):
+                node_shells.append(node[0])
+                return interval(depth, node)
+
+            return real_first(root, last, spied, *rest)
+
+        def bounds(i, cum, params):
+            shells = node_shells.pop()
+            seq = SymLayerSequence(params, shells)
+            assert len(shells) == i
+            expected = [walk_of(s, p) for s in accumulate_layers(seq, i)] if i else []
+            assert list(cum) == expected, [w.hs for w in shells]
+            checked[0] += 1
+            return real_bounds(i, cum, params)
+
+        def step(sections, w):
+            checked[1] += 1
+            return real_step(sections, w)
+
+        monkeypatch.setattr(symmetric, "depth_first", first)
+        monkeypatch.setattr(symmetric, "symmetric_bounds", bounds)
+        monkeypatch.setattr(symmetric, "_with_shell", step)
+        found = enumerate_all_r1(params, mode=mode)
+        if mode == "stream":
+            found = sum(1 for _ in found)
+        assert found == total > 1
+        assert checked[0] > params.n and checked[1] == checked[0] - 1
 
 
 class TestSymmetricBounds:
@@ -202,7 +246,7 @@ class TestSoundnessBeyondOracle:
         if sample is not None:
             stream = random.Random(7).sample(stream, sample)
         for walks in stream:
-            pts = assembled_points(SymLayerSequence(params, list(walks)))
+            pts = assembled_points(SymLayerSequence(params, walks))
             assert violated_condition(pts, params) is None, [w.hs for w in walks]
 
 
@@ -354,7 +398,7 @@ class TestEnumerateAllSymmetric:
         params = Params(p=2, m=6, r=1)
         seen = set()
         for walks in enumerate_all_r1(params, mode="stream"):
-            pts = assembled_points(SymLayerSequence(params, list(walks)))
+            pts = assembled_points(SymLayerSequence(params, walks))
             assert pts not in seen
             seen.add(pts)
         assert seen == set(
@@ -364,7 +408,7 @@ class TestEnumerateAllSymmetric:
     def test_every_emission_closed_and_fixed(self):
         params = Params(p=3, m=3, r=1)
         for walks in enumerate_all_r1(params, mode="stream"):
-            pts = assembled_points(SymLayerSequence(params, list(walks)))
+            pts = assembled_points(SymLayerSequence(params, walks))
             assert ideal_3d(pts, params.n, params.p)
             assert rotation_invariant_3d(pts)
 
@@ -372,7 +416,7 @@ class TestEnumerateAllSymmetric:
         params = Params(p=3, m=6, r=1)
         found = 0
         for walks in enumerate_all_r1(params, mode="stream"):
-            if assembled_points(SymLayerSequence(params, list(walks))) == EXAMPLE_IDEAL:
+            if assembled_points(SymLayerSequence(params, walks)) == EXAMPLE_IDEAL:
                 found += 1
         assert found == 1
 
@@ -457,6 +501,37 @@ class TestShellFiveDefect:
     def test_non_ideal_section_raises_inconsistent_input(self):
         with pytest.raises(InconsistentInput):
             accumulated_walks(_defect_stack(6), 6)
+
+    def test_stream_stops_after_known_prefix(self):
+        emitted = 0
+        with pytest.raises(InconsistentInput) as info:
+            for _ in enumerate_all_r1(DEFECT_PARAMS, mode="stream"):
+                emitted += 1
+        assert str(info.value) == (
+            "section 1 heights [5, 5, 5, 4, 4, 4] are not an ideal"
+        )
+        assert emitted == 26938
+
+    @pytest.mark.parametrize(
+        "shells,message",
+        [
+            # a full shell 2 over empty shells: row 2 of section 0 starts
+            # over the empty column 0
+            (((-1,), (-1, -1), (2, 2, 2)), "section 0 has a gap in column 0"),
+            (
+                ((0,), (1, 1), (1, 1, 0), (2, 2, -1, -1)),
+                "section 1 has a gap in column 2",
+            ),
+        ],
+    )
+    def test_gap_raises_inconsistent_input(self, shells, message):
+        walks = tuple(
+            walk_from_heights(hs, Rect(0, j, 0, j), 2) for j, hs in enumerate(shells)
+        )
+        seq = SymLayerSequence(Params(p=2, m=9, r=1), walks)
+        with pytest.raises(InconsistentInput) as info:
+            accumulated_walks(seq, len(walks))
+        assert str(info.value) == message
 
     def test_defect_layer_is_emitted_and_rejected(self):
         seq = _defect_stack(5)
