@@ -40,17 +40,12 @@ from .symmetric import (
 from .walks import (
     extremal_walk,
     highest_extension,
-    ideal_of,
     IdealSet2,
     join,
     lowest_extension,
     meet,
     Rect,
-    restrict,
-    shift,
-    validate_walk,
     Walk,
-    walk_from_corners,
     walk_leq,
     walk_of,
 )

@@ -25,23 +25,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, NotInvariant, OutOfRange
+from .errors import CapExceeded, NotInvariant
 from .fields import DEFAULT_FIELD_CAP, SmallField, Subfield, shared_field
 from .order import Params, Point3, rotate
 
 DEFAULT_SCAN_CAP = 10**7
-
-
-def digit_class_sums(s: int, params: Params) -> tuple[int, int, int]:
-    """Base-p digit sums of s grouped by digit position modulo 3."""
-    p, m = params.p, params.m
-    if not 0 <= s < p**m:
-        raise OutOfRange(f"s = {s} outside [0, {p ** m})")
-    acc = [0, 0, 0]
-    for pos in range(m):
-        acc[pos % 3] += s % p
-        s //= p
-    return (acc[0], acc[1], acc[2])
 
 
 def composition_counts(params: Params) -> list[int]:
@@ -134,13 +122,12 @@ class CodeSpec:
     ideal: frozenset[Point3]
     defining_count: int
     fld: SmallField = field(repr=False)
-    element_order: list[int] = field(repr=False)
     rref: np.ndarray = field(repr=False)
     pivots: list[int] = field(repr=False)
 
     @property
     def dimension(self) -> int:
-        return len(self.element_order) - len(self.pivots)
+        return self.fld.order - len(self.pivots)
 
     def fingerprint(self) -> tuple:
         return tuple(map(tuple, self.rref.tolist()))
@@ -258,7 +245,6 @@ def build_code(
         ideal=ideal,
         defining_count=preimage_count(ideal, params),
         fld=fld,
-        element_order=fld.elements_in_order(),
         rref=rref,
         pivots=pivots,
     )
@@ -268,7 +254,7 @@ def in_sum_zero_space(spec: CodeSpec) -> bool:
     """Whether every codeword has coordinate sum zero: the all-ones row lies
     in the row space of the constraints."""
     sub = spec.fld.subfield(spec.params.r)
-    ones = _fp_coordinates(sub, np.ones((1, len(spec.element_order)), dtype=np.int64))
+    ones = _fp_coordinates(sub, np.ones((1, spec.fld.order), dtype=np.int64))
     coords = _fp_coordinates(sub, spec.rref)
     return not _reduce_against(sub, coords, spec.pivots, ones).any()
 

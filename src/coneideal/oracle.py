@@ -12,15 +12,21 @@ fast paths: the direct consistency tests of a candidate layer
 (:func:`is_consistent_backward`, :func:`is_consistent_forward`,
 :func:`is_consistent_sym` with :func:`is_palindromic`), the point-set cross
 sections :func:`accumulate_layers` and the reach classes
-:func:`classify_reach` of the shells; the generic-e, cross-section and
-rational-anchor forms of the order (:func:`precedes_generic`,
-:func:`section_precedes`, :func:`rational_shift_covers`);
+:func:`classify_reach` of the shells, and the per-height point counts
+:func:`layer_counts`; the generic-e, cross-section and rational-anchor forms
+of the order (:func:`precedes_generic`, :func:`section_precedes`,
+:func:`rational_shift_covers`); the corner input of walks
+(:func:`walk_from_obj`, :func:`walk_from_corners` with its step rules
+:func:`validate_walk`), which decodes and checks emitted lines, and the
+explicit ideal, restriction and shift of a walk (:func:`ideal_of`,
+:func:`restrict`, :func:`shift`);
 :func:`equivalent_transport_conditions`, whose last three conditions are the
-walk-calculus forms checked against the first three on point sets; and the
-codeword-level invariance check (:func:`verify_invariance_on_words` with
-:func:`kernel_basis`, :func:`word_in_code`), the scalar row reduction
-(:func:`scalar_rref`) and group order (:func:`group_closure_order`) for the
-codes.
+walk-calculus forms checked against the first three on point sets; and for
+the codes the scalar digit-class sums (:func:`digit_class_sums`, referee of
+:func:`coneideal.codes.preimage_list`), the codeword-level invariance check
+(:func:`verify_invariance_on_words` with :func:`kernel_basis`,
+:func:`word_in_code`), the scalar row reduction (:func:`scalar_rref`) and
+group order (:func:`group_closure_order`).
 """
 
 from __future__ import annotations
@@ -31,7 +37,14 @@ from fractions import Fraction
 from typing import Callable, Iterable, Literal
 
 from .codes import CodeSpec
-from .errors import CapExceeded, InconsistentInput, TooLarge
+from .errors import (
+    CapExceeded,
+    HostMismatch,
+    InconsistentInput,
+    InvalidWalk,
+    OutOfRange,
+    TooLarge,
+)
 from .fields import SmallField
 from .order import Params, Point2, Point3, precedes2, precedes3, rotate
 from .slicing import LayerSequence, layer_host, nonempty_lookahead, nonfull_lookback
@@ -43,8 +56,6 @@ from .walks import (
     highest_extension,
     ideal_transport,
     lowest_extension,
-    restrict,
-    shift,
     walk_leq,
     walk_of,
 )
@@ -192,18 +203,8 @@ class LayerOracle:
             all_rect_ideals(self.rect, p),
             key=lambda s: tuple(sorted(s)),
         )
-        self.masks = [self._mask(s) for s in self.ideals]
-        self.mask_index = {m: i for i, m in enumerate(self.masks)}
+        self.masks = [sum(1 << self.cell_index[q] for q in s) for s in self.ideals]
         self._reach: dict[tuple[int, int], int] = {}
-
-    def _mask(self, pts: frozenset[Point2]) -> int:
-        m = 0
-        for q in pts:
-            m |= 1 << self.cell_index[q]
-        return m
-
-    def mask_of(self, pts: frozenset[Point2]) -> int:
-        return self._mask(pts)
 
     def reach(self, ideal_idx: int, dz: int) -> int:
         """Mask of box cells w with (w, dz) below some point of the ideal."""
@@ -342,6 +343,10 @@ def brute_layer_candidates(
         ):
             out.append(cand)
     return out
+
+
+def layer_counts(points: frozenset[Point3], n: int) -> list[int]:
+    return [sum(1 for (x, y, z) in points if z == h) for h in range(n + 1)]
 
 
 # -- consistency of a candidate layer with a partial stack --
@@ -578,6 +583,86 @@ def section_precedes(u: Point3, v: Point3, p: int) -> bool:
     return in_slice((u[0] - v[0], u[1] - v[1]), dz, p)
 
 
+# -- corner input, explicit ideals, restriction and shift of walks --
+
+
+def walk_from_obj(obj: dict, p: int) -> Walk:
+    pts = tuple((int(x), int(y)) for x, y in obj["points"])
+    return walk_from_corners(Rect(*obj["host"]), p, pts)
+
+
+def walk_from_corners(host: Rect, p: int, pts: tuple[Point2, ...]) -> Walk:
+    """Decode a corner sequence; raises InvalidWalk when it breaks a step
+    rule.  Valid corner sequences and closed height profiles are in
+    bijection, so the corners read back from the result equal ``pts``."""
+    if not validate_walk(host, p, pts):
+        raise InvalidWalk(f"corner list is not a walk: {pts} in {host}")
+    a, b, c = host.a, host.b, host.c
+    hs = [c - 1] * host.width
+    i = 0
+    for x in range(a, b + 1):
+        while i < len(pts) and pts[i][0] < x:
+            i += 1
+        if i == len(pts):
+            break
+        hs[x - a] = pts[i][1]
+    return Walk(host, p, tuple(hs))
+
+
+def validate_walk(host: Rect, p: int, pts: tuple[Point2, ...]) -> bool:
+    """Check the five step rules on a corner sequence; True when empty."""
+    if not pts:
+        return True
+    a, b, c, d = host.a, host.b, host.c, host.d
+    if any(not host.contains(q) for q in pts):
+        return False
+    x0, y0 = pts[0]
+    xk, yk = pts[-1]
+    if not (x0 == a or y0 == d):
+        return False
+    if not (xk == b or yk == c):
+        return False
+    steps = []  # (kind, length) with kind 'h' or 'v'
+    for (px, py), (qx, qy) in zip(pts, pts[1:]):
+        if qy == py and 1 <= qx - px <= p:
+            steps.append(("h", qx - px))
+        elif qx == px and 1 <= py - qy <= p * p:
+            steps.append(("v", py - qy))
+        else:
+            return False
+    for s, t in zip(steps, steps[1:]):
+        if s[0] == t[0]:
+            return False
+    if steps:
+        if a <= x0 < b and y0 == d and steps[0][0] != "v":
+            return False
+        if xk == b and c <= yk < d and steps[-1][0] != "h":
+            return False
+        if steps[0][0] == "h" and steps[0][1] > p - 1:
+            return False
+        if steps[-1][0] == "v" and steps[-1][1] > p * p - 1:
+            return False
+    return True
+
+
+def ideal_of(w: Walk) -> IdealSet2:
+    return IdealSet2(w.host, w.ideal_points())
+
+
+def restrict(w: Walk, sub: Rect) -> Walk:
+    """Walk of the bounded ideal intersected with a subrectangle."""
+    if not w.host.contains_rect(sub):
+        raise HostMismatch(f"{sub} not inside {w.host}")
+    hs = w.hs[sub.a - w.host.a : sub.b - w.host.a + 1]
+    c, d = sub.c, sub.d
+    return Walk(sub, w.p, tuple(min(h, d) if h >= c else c - 1 for h in hs))
+
+
+def shift(w: Walk, dx: int, dy: int) -> Walk:
+    """Translate a walk (and its host) by (dx, dy)."""
+    return Walk(w.host.shifted(dx, dy), w.p, tuple(h + dy for h in w.hs))
+
+
 # -- the transport conditions, on point sets and on walks --
 
 
@@ -628,7 +713,19 @@ def equivalent_transport_conditions(
     return (cond1, cond2, cond3, cond4, cond5, cond6)
 
 
-# -- codeword-level checks of the codes --
+# -- the codes: digit classes and codeword-level checks --
+
+
+def digit_class_sums(s: int, params: Params) -> tuple[int, int, int]:
+    """Base-p digit sums of s grouped by digit position modulo 3."""
+    p, m = params.p, params.m
+    if not 0 <= s < p**m:
+        raise OutOfRange(f"s = {s} outside [0, {p ** m})")
+    acc = [0, 0, 0]
+    for pos in range(m):
+        acc[pos % 3] += s % p
+        s //= p
+    return (acc[0], acc[1], acc[2])
 
 
 def scalar_rref(
@@ -661,7 +758,7 @@ def scalar_rref(
 def kernel_basis(spec: CodeSpec) -> list[list[int]]:
     """Basis codewords of the kernel over GF(p^r), from the echelon form."""
     fld = spec.fld
-    ncols = len(spec.element_order)
+    ncols = fld.order
     pivot_set = set(spec.pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -712,7 +809,7 @@ def verify_invariance_on_words(
 ) -> bool:
     """Codeword-level variant: permute each kernel basis word and re-check
     membership by constraint evaluation (small fields only)."""
-    if len(spec.element_order) > 2**10:
+    if spec.fld.order > 2**10:
         raise CapExceeded("codeword-level check capped to small fields")
     basis = kernel_basis(spec)
     for perm in gens:

@@ -5,10 +5,6 @@ from __future__ import annotations
 from .order import Params, Point3
 
 
-def layer_counts(points: frozenset[Point3], n: int) -> list[int]:
-    return [sum(1 for (x, y, z) in points if z == h) for h in range(n + 1)]
-
-
 def ascii_layers(points: frozenset[Point3], params: Params) -> str:
     """One grid per height, top row first; '#' marks members."""
     n = params.n

@@ -28,7 +28,6 @@ from .walks import (
     Rect,
     Walk,
     empty_walk,
-    full_walk,
     join,
     largest_avoiding,
     meet,
@@ -140,8 +139,12 @@ def _layer_intervals(
     """Disjoint nonempty walk intervals covering the consistent shell-i
     layers: [S v L, T ^ U] for each reach case (L, U) of the forward
     interval [S, T].  As L <= U, it is nonempty exactly when S <= T,
-    S <= U and L <= T."""
+    S <= U and L <= T.  Shell 0 has no reach cases: its interval is
+    [S, T] itself, the empty and the full layer of [0,0]^2."""
     if not walk_leq(s_walk, t_walk):
+        return
+    if i == 0:
+        yield s_walk, t_walk
         return
     for lower, upper in _reach_cases(i, p):
         if walk_leq(s_walk, upper) and walk_leq(lower, t_walk):
@@ -153,9 +156,6 @@ def enumerate_layer_sym(
 ) -> list[Walk]:
     """All consistent shell-i layers, sorted by column heights: a function
     of the forward interval [S, T] of :func:`symmetric_bounds` alone."""
-    if i == 0:
-        host = shell_host(0)
-        return [empty_walk(host, params.p), full_walk(host, params.p)]
     out = [
         w
         for lower, upper in _layer_intervals(i, s_walk, t_walk, params.p)
@@ -168,8 +168,6 @@ def enumerate_layer_sym(
 def count_layer_sym(i: int, s_walk: Walk, t_walk: Walk, params: Params) -> int:
     """Number of consistent shell-i layers, a function of the forward
     interval [S, T] of :func:`symmetric_bounds` alone."""
-    if i == 0:
-        return 2
     intervals = _layer_intervals(i, s_walk, t_walk, params.p)
     return sum(count_interval(lo, hi) for lo, hi in intervals)
 

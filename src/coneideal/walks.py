@@ -10,12 +10,12 @@ leading step) alternating with vertical steps of length <= p^2 (<= p^2-1
 for a trailing step).
 
 Everything here is exact integer arithmetic.  A walk is stored as its
-height profile, and its corner sequence is derived only when asked for
-(serialization and validation).  Walks are immutable; the host rectangle
-and the prime travel with the walk so host mismatches are detectable.  Two
-per-column threshold kernels, the cone closure of a point list and the
-complement of an upward closure, compute both cone transports straight on
-their target; the extensions to a bigger rectangle are the zero shifts.
+height profile, and its corner sequence is derived only for the JSON
+output.  Walks are immutable; the host rectangle and the prime travel with
+the walk so host mismatches are detectable.  Two per-column threshold
+kernels, the cone closure of a point list and the complement of an upward
+closure, compute both cone transports straight on their target; the
+extensions to a bigger rectangle are the zero shifts.
 """
 
 from __future__ import annotations
@@ -126,65 +126,6 @@ class Walk:
         return json.dumps(self.to_obj())
 
 
-def walk_from_obj(obj: dict, p: int) -> Walk:
-    pts = tuple((int(x), int(y)) for x, y in obj["points"])
-    return walk_from_corners(Rect(*obj["host"]), p, pts)
-
-
-def walk_from_corners(host: Rect, p: int, pts: tuple[Point2, ...]) -> Walk:
-    """Decode a corner sequence; raises InvalidWalk when it breaks a step
-    rule.  Valid corner sequences and closed height profiles are in
-    bijection, so the corners read back from the result equal ``pts``."""
-    if not validate_walk(host, p, pts):
-        raise InvalidWalk(f"corner list is not a walk: {pts} in {host}")
-    a, b, c = host.a, host.b, host.c
-    hs = [c - 1] * host.width
-    i = 0
-    for x in range(a, b + 1):
-        while i < len(pts) and pts[i][0] < x:
-            i += 1
-        if i == len(pts):
-            break
-        hs[x - a] = pts[i][1]
-    return Walk(host, p, tuple(hs))
-
-
-def validate_walk(host: Rect, p: int, pts: tuple[Point2, ...]) -> bool:
-    """Check the five step rules on a corner sequence; True when empty."""
-    if not pts:
-        return True
-    a, b, c, d = host.a, host.b, host.c, host.d
-    if any(not host.contains(q) for q in pts):
-        return False
-    x0, y0 = pts[0]
-    xk, yk = pts[-1]
-    if not (x0 == a or y0 == d):
-        return False
-    if not (xk == b or yk == c):
-        return False
-    steps = []  # (kind, length) with kind 'h' or 'v'
-    for (px, py), (qx, qy) in zip(pts, pts[1:]):
-        if qy == py and 1 <= qx - px <= p:
-            steps.append(("h", qx - px))
-        elif qx == px and 1 <= py - qy <= p * p:
-            steps.append(("v", py - qy))
-        else:
-            return False
-    for s, t in zip(steps, steps[1:]):
-        if s[0] == t[0]:
-            return False
-    if steps:
-        if a <= x0 < b and y0 == d and steps[0][0] != "v":
-            return False
-        if xk == b and c <= yk < d and steps[-1][0] != "h":
-            return False
-        if steps[0][0] == "h" and steps[0][1] > p - 1:
-            return False
-        if steps[-1][0] == "v" and steps[-1][1] > p * p - 1:
-            return False
-    return True
-
-
 def walk_from_heights(hs: tuple[int, ...], host: Rect, p: int) -> Walk:
     """The walk of a height profile given from outside the walk calculus.
 
@@ -258,12 +199,10 @@ class IdealSet2:
     points: frozenset[Point2]
 
 
-def ideal_of(w: Walk) -> IdealSet2:
-    return IdealSet2(w.host, w.ideal_points())
-
-
 def walk_of(s: IdealSet2, p: int) -> Walk:
-    """Inverse of :func:`ideal_of`; raises NotAnIdeal when s is not closed."""
+    """The walk of an explicit planar ideal (the inverse of
+    :func:`coneideal.oracle.ideal_of`); raises NotAnIdeal when s is not
+    closed."""
     a, c = s.host.a, s.host.c
     hs = [c - 1] * s.host.width
     for x, y in s.points:
@@ -288,8 +227,8 @@ def walk_leq(w1: Walk, w2: Walk) -> bool:
 
 
 # Ideals of a rectangle are closed under intersection and union, and so are
-# their restrictions and the extremal extensions below: every result here is
-# a closed profile by construction and is built without re-validation.
+# the extremal extensions below: every result here is a closed profile by
+# construction and is built without re-validation.
 
 
 def meet(w1: Walk, w2: Walk) -> Walk:
@@ -314,20 +253,6 @@ def join_all(walks: list[Walk]) -> Walk:
     for w in walks[1:]:
         out = join(out, w)
     return out
-
-
-def restrict(w: Walk, sub: Rect) -> Walk:
-    """Walk of the bounded ideal intersected with a subrectangle."""
-    if not w.host.contains_rect(sub):
-        raise HostMismatch(f"{sub} not inside {w.host}")
-    hs = w.hs[sub.a - w.host.a : sub.b - w.host.a + 1]
-    c, d = sub.c, sub.d
-    return Walk(sub, w.p, tuple(min(h, d) if h >= c else c - 1 for h in hs))
-
-
-def shift(w: Walk, dx: int, dy: int) -> Walk:
-    """Translate a walk (and its host) by (dx, dy)."""
-    return Walk(w.host.shifted(dx, dy), w.p, tuple(h + dy for h in w.hs))
 
 
 def _ceil_div(num: int, den: int) -> int:

@@ -26,6 +26,7 @@ from coneideal.oracle import (
     is_consistent_backward,
     is_consistent_forward,
     is_consistent_sym,
+    restrict,
 )
 from coneideal.order import Params
 from coneideal.slicing import (
@@ -51,7 +52,6 @@ from coneideal.walks import (
     full_walk,
     highest_extension,
     lowest_extension,
-    restrict,
     walk_leq,
     walk_of,
 )

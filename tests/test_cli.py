@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from coneideal.cli import _engine, main
-from coneideal.render import ascii_layers, layer_counts, svg_cubes
+from coneideal.oracle import layer_counts
+from coneideal.render import ascii_layers, svg_cubes
 from coneideal.order import Params, rotate
 
 from conftest import EXAMPLE_DEFINING, EXAMPLE_IDEAL
@@ -381,7 +382,7 @@ def test_option_the_command_does_not_read(capsys, example_file, command, option)
 
 class TestRoundTrip:
     def test_stream_walks_parse_back(self, capsys):
-        from coneideal.walks import walk_from_obj, validate_walk
+        from coneideal.oracle import walk_from_obj, validate_walk
 
         code, out, _ = run(capsys, "enumerate", "--p", "3", "--m", "3", "--r", "1")
         assert code == 0

@@ -14,7 +14,6 @@ from coneideal.codes import (
     agl_generators,
     build_code,
     composition_counts,
-    digit_class_sums,
     in_sum_zero_space,
     is_invariant_ideal,
     preimage_count,
@@ -25,6 +24,7 @@ from coneideal.codes import (
 from coneideal.errors import CapExceeded, NotInvariant, OutOfRange
 from coneideal.fields import SmallField, least_irreducible
 from coneideal.oracle import (
+    digit_class_sums,
     group_closure_order,
     ideal_3d,
     kernel_basis,
@@ -61,7 +61,6 @@ def spec_of_exponents(params, defining):
     """The code cut by the power sums of any exponent list, built the way
     ``build_code`` builds the code of an ideal's defining set."""
     fld = SmallField(params.p, params.m)
-    order = fld.elements_in_order()
     rows = [_power_row(fld, s) for s in defining]
     expanded = _expand_rows(fld, rows, params.r)
     rref, pivots = _rref(fld, expanded, params.r)
@@ -70,7 +69,6 @@ def spec_of_exponents(params, defining):
         ideal=frozenset(),
         defining_count=len(defining),
         fld=fld,
-        element_order=order,
         rref=rref,
         pivots=pivots,
     )

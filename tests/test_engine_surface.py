@@ -1,0 +1,140 @@
+"""The engine modules hold only what the program runs.
+
+Every top-level def or class of the modules in ``ENGINE`` must be reached
+from live code: the module-level code and the functions of the package
+modules other than ``oracle.py`` and ``__init__.py`` (the CLI, the engines,
+the code pipeline), the benchmark's span targets in ``perfbench/spans.py``,
+or an import in ``perfbench/``.  A def of an engine module is live only when
+something live refers to it, so a helper that only another dead helper
+calls is reported too.  Referees that only the tests use belong in
+``oracle.py``.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "coneideal"
+PERFBENCH = ROOT / "perfbench"
+ENGINE = ("walks", "slicing", "symmetric", "codes", "fields", "render")
+NOT_USERS = ("oracle", "__init__")
+
+
+def _package_sources() -> dict[str, str]:
+    return {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in NOT_USERS
+    }
+
+
+def _span_roots() -> set[tuple[str, str]]:
+    """(module, top-level name) of each target, read as
+    ``tests/test_span_targets.py`` reads them."""
+    spans = PERFBENCH / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return {(module, qual.split(".")[0]) for module, qual, _ in mod.TARGETS}
+
+
+def _perfbench_roots() -> set[tuple[str, str]]:
+    """(module, name) of each package name a ``perfbench/`` file imports,
+    directly or as an attribute of an imported package module."""
+    roots = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level:
+                continue
+            if node.module == "coneideal":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif node.module and node.module.startswith("coneideal."):
+                home = node.module.split(".")[1]
+                roots.update((home, a.name) for a in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    roots.add((modules[node.value.id], node.attr))
+    return roots
+
+
+def _referenced(node: ast.AST, module: str, local: set[str], imported: dict) -> set:
+    """The (module, name) pairs of package defs that the names in node denote."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            if sub.id in local:
+                out.add((module, sub.id))
+            elif sub.id in imported:
+                out.add(imported[sub.id])
+    return out
+
+
+def unreachable(sources: dict[str, str], roots: set[tuple[str, str]]) -> list[str]:
+    """``module.name`` of each top-level def or class of an engine module
+    that no live code reaches, in source order."""
+    edges: dict[tuple[str, str], set] = {}
+    live: set[tuple[str, str]] = set(roots)
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        defs = [
+            node
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        local = {node.name for node in defs}
+        imported = {
+            alias.asname or alias.name: (node.module, alias.name)
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names
+        }
+        for node in defs:
+            edges[(module, node.name)] = _referenced(node, module, local, imported)
+            if module not in ENGINE:
+                live.add((module, node.name))
+        for node in tree.body:
+            if node not in defs:
+                live |= _referenced(node, module, local, imported)
+    todo = list(live)
+    while todo:
+        for ref in edges.get(todo.pop(), ()):
+            if ref not in live:
+                live.add(ref)
+                todo.append(ref)
+    return [
+        f"{module}.{name}"
+        for module, name in edges
+        if module in ENGINE and (module, name) not in live
+    ]
+
+
+def _roots() -> set[tuple[str, str]]:
+    return _span_roots() | _perfbench_roots()
+
+
+def test_engine_modules_hold_only_live_code():
+    dead = unreachable(_package_sources(), _roots())
+    assert not dead, (
+        "only the tests or the oracle use these; move them to oracle.py: "
+        + ", ".join(dead)
+    )
+
+
+def test_guard_reports_a_referee_put_back():
+    """The check itself: ``oracle.restrict`` moved back into ``walks.py``,
+    where only the oracle and the tests would call it, is reported."""
+    oracle_text = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    restrict = next(
+        node
+        for node in ast.parse(oracle_text).body
+        if isinstance(node, ast.FunctionDef) and node.name == "restrict"
+    )
+    sources = _package_sources()
+    sources["walks"] += "\n\n" + ast.get_source_segment(oracle_text, restrict) + "\n"
+    assert unreachable(sources, _roots()) == ["walks.restrict"]

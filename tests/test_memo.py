@@ -141,8 +141,7 @@ def test_r1_stream_lists_each_interval_once(monkeypatch, p, m):
     _spy(monkeypatch, symmetric, "symmetric_bounds", bounds)
     _spy(monkeypatch, symmetric, "_layer_intervals", listed)
     assert sum(1 for _ in enumerate_all_r1(params, mode="stream")) == count
-    # shell 0 is listed without the reach cases
-    keys = [(i, *st) for (i, _, _), st in bounds if i > 0]
+    keys = [(i, *st) for (i, _, _), st in bounds]
     assert len(listed) == len(set(keys)) < len(keys)
     assert [args[:3] for args, _ in listed] == list(dict.fromkeys(keys))
 

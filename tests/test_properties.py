@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from coneideal.oracle import accumulate_layers, all_rect_ideals
+from coneideal.oracle import accumulate_layers, all_rect_ideals, restrict, shift
 from coneideal.order import Params, precedes2, precedes3
 from coneideal.slicing import ideal_transport
 from coneideal.symmetric import (
@@ -22,8 +22,6 @@ from coneideal.walks import (
     IdealSet2,
     Rect,
     highest_extension,
-    restrict,
-    shift,
     walk_leq,
     walk_of,
 )

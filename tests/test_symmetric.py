@@ -19,6 +19,7 @@ from coneideal.oracle import (
     is_consistent_sym,
     is_palindromic,
     rotation_invariant_3d,
+    walk_from_corners,
 )
 from coneideal.order import Params
 from coneideal.slicing import enumerate_interval
@@ -37,7 +38,6 @@ from coneideal.walks import (
     Rect,
     empty_walk,
     full_walk,
-    walk_from_corners,
     walk_from_heights,
     walk_of,
 )

@@ -14,7 +14,16 @@ from coneideal.errors import (
     NoSuchWalk,
     NotAnIdeal,
 )
-from coneideal.oracle import all_rect_ideals, brute_extension
+from coneideal.oracle import (
+    all_rect_ideals,
+    brute_extension,
+    ideal_of,
+    restrict,
+    shift,
+    validate_walk,
+    walk_from_corners,
+    walk_from_obj,
+)
 from coneideal.order import precedes2
 from coneideal.slicing import enumerate_interval
 from coneideal.walks import (
@@ -24,18 +33,12 @@ from coneideal.walks import (
     extremal_walk,
     full_walk,
     highest_extension,
-    ideal_of,
     ideal_transport,
     join,
     lowest_extension,
     meet,
-    restrict,
-    shift,
     transport_upper_bound,
-    validate_walk,
-    walk_from_corners,
     walk_from_heights,
-    walk_from_obj,
     walk_leq,
     walk_of,
 )
