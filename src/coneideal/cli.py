@@ -109,17 +109,24 @@ def _load_ideal(path: str) -> frozenset[tuple[int, int, int]]:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         pts = data["points"] if isinstance(data, dict) else data
-        return frozenset((int(x), int(y), int(z)) for x, y, z in pts)
+        if any(type(c) is not int for u in pts for c in u):
+            raise ValueError("coordinates must be JSON integers")
+        return frozenset((x, y, z) for x, y, z in pts)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _CliError(EXIT_BAD_PARAMS, f"cannot parse ideal file: {exc}")
 
 
-def cmd_defining_set(args: argparse.Namespace) -> int:
-    params = _params(args)
-    ideal = _load_ideal(args.ideal)
+def _load_invariant_ideal(path: str, params: Params) -> frozenset[tuple[int, int, int]]:
+    ideal = _load_ideal(path)
     reason = violated_condition(ideal, params)
     if reason is not None:
-        return _fail(EXIT_NOT_IDEAL, f"input is not an invariant ideal: {reason}")
+        raise _CliError(EXIT_NOT_IDEAL, f"input is not an invariant ideal: {reason}")
+    return ideal
+
+
+def cmd_defining_set(args: argparse.Namespace) -> int:
+    params = _params(args)
+    ideal = _load_invariant_ideal(args.ideal, params)
     count = preimage_count(ideal, params)
     with _emit(args) as out:
         out.write(f"{count}\n")
@@ -170,7 +177,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     params = _params(args)
-    ideal = _load_ideal(args.ideal)
+    ideal = _load_invariant_ideal(args.ideal, params)
     with _emit(args) as out:
         if args.render == "svg":
             out.write(svg_cubes(ideal, params))

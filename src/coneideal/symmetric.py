@@ -31,7 +31,6 @@ from .walks import (
     join,
     largest_avoiding,
     meet,
-    meet_all,
     smallest_containing,
     walk_from_heights,
     walk_leq,
@@ -114,20 +113,18 @@ def _reach_cases(i: int, p: int) -> tuple[tuple[Walk, Walk], ...]:
     """
     host = shell_host(i)
 
-    def low(pt: Point2) -> Walk:
-        return smallest_containing(pt, host, p)
+    def low(*pts: Point2) -> Walk:
+        return smallest_containing(list(pts), host, p)
 
     def high(*pts: Point2) -> Walk:
-        return meet_all([largest_avoiding(pt, host, p) for pt in pts])
+        return largest_avoiding(list(pts), host, p)
 
     cases = [(empty_walk(host, p), high((0, i), (i - 1, 0)))]
     for v in range(i + 1):
-        lower = low((i - 1, v))
-        if i >= p:
-            lower = join(lower, low((v, i - p)))
+        lower = low((i - 1, v), (v, i - p)) if i >= p else low((i - 1, v))
         cases.append((lower, high((0, i), (i, 0), (i - 1, v + 1))))
     for u in range(i + 1):
-        cases.append((join(low((u, i)), low((i, u))), high((u + 1, i), (i, u + 1))))
+        cases.append((low((u, i), (i, u)), high((u + 1, i), (i, u + 1))))
     # L <= U drops the heights v with p v > (p - 1) i, where L holds (0, i),
     # and v >= p^2, where L reaches column i
     return tuple((lo, hi) for lo, hi in cases if walk_leq(lo, hi))

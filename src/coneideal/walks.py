@@ -12,17 +12,21 @@ for a trailing step).
 Everything here is exact integer arithmetic.  A walk is stored as its
 height profile, and its corner sequence is derived only for the JSON
 output.  Walks are immutable; the host rectangle and the prime travel with
-the walk so host mismatches are detectable.  Two per-column threshold
-kernels, the cone closure of a point list and the complement of an upward
-closure, compute both cone transports straight on their target; the
-extensions to a bigger rectangle are the zero shifts.
+the walk so host mismatches are detectable.
+
+One per-column kernel computes the cone closure of a point list, read
+straight on a target rectangle.  The cone order is reversed by u -> -u, so
+negating the complement of an ideal gives an ideal of the negated
+rectangle (the order dual, :func:`dual`).  Every upper construction (the
+upper transport, the largest avoiding walk) is the dual of a closure; the
+extensions to a bigger rectangle are the zero shifts of the transports.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterator, Literal
 
 from .errors import HostMismatch, InvalidWalk, NoSuchWalk, NotAnIdeal
@@ -64,6 +68,10 @@ class Rect:
 
     def shifted(self, dx: int, dy: int) -> "Rect":
         return Rect(self.a + dx, self.b + dx, self.c + dy, self.d + dy)
+
+    def negated(self) -> "Rect":
+        """The rectangle {-u : u in self}."""
+        return Rect(-self.b, -self.a, -self.d, -self.c)
 
 
 @dataclass(frozen=True)
@@ -215,6 +223,13 @@ def walk_of(s: IdealSet2, p: int) -> Walk:
     return walk_from_heights(tuple(hs), s.host, p)
 
 
+def dual(w: Walk) -> Walk:
+    """The walk of {-u : u in w.host, u not in w's ideal} on the negated
+    host.  An involution that swaps meet and join, empty and full, and
+    reverses containment."""
+    return Walk(w.host.negated(), w.p, tuple(-1 - h for h in reversed(w.hs)))
+
+
 def _require_same_host(w1: Walk, w2: Walk) -> None:
     if w1.host != w2.host or w1.p != w2.p:
         raise HostMismatch(f"{w1.host} (p={w1.p}) vs {w2.host} (p={w2.p})")
@@ -242,21 +257,11 @@ def join(w1: Walk, w2: Walk) -> Walk:
 
 
 def meet_all(walks: list[Walk]) -> Walk:
-    out = walks[0]
-    for w in walks[1:]:
-        out = meet(out, w)
-    return out
+    return reduce(meet, walks)
 
 
 def join_all(walks: list[Walk]) -> Walk:
-    out = walks[0]
-    for w in walks[1:]:
-        out = join(out, w)
-    return out
-
-
-def _ceil_div(num: int, den: int) -> int:
-    return -((-num) // den)
+    return reduce(join, walks)
 
 
 def _reach_down_heights(gens: list[Point2], big: Rect, p: int) -> tuple[int, ...]:
@@ -274,23 +279,7 @@ def _reach_down_heights(gens: list[Point2], big: Rect, p: int) -> tuple[int, ...
     return tuple(hs)
 
 
-def _avoid_up_heights(excluded: list[Point2], big: Rect, p: int) -> tuple[int, ...]:
-    """Heights of big minus the upward closure of the excluded points."""
-    a, b, c, d = big.a, big.b, big.c, big.d
-    p2 = p * p
-    hs = []
-    for x in range(a, b + 1):
-        cap = d
-        for ux, uy in excluded:
-            thr = max(_ceil_div(p * uy + ux - x, p), p2 * (ux - x) + uy) - 1
-            if thr < cap:
-                cap = thr
-        hs.append(cap if cap >= c else c - 1)
-    return tuple(hs)
-
-
-@lru_cache(maxsize=None)
-def ideal_transport(w: Walk, dx: int, dy: int, target: Rect) -> Walk:
+def closure(w: Walk, dx: int, dy: int, target: Rect) -> Walk:
     """Walk of [(ideal of w) + cone + (dx, dy)] intersected with target.
 
     The ideal is generated by the top right point of each run of equal
@@ -307,13 +296,19 @@ def ideal_transport(w: Walk, dx: int, dy: int, target: Rect) -> Walk:
 
 
 @lru_cache(maxsize=None)
+def ideal_transport(w: Walk, dx: int, dy: int, target: Rect) -> Walk:
+    """:func:`closure`, memoized for the length of one search."""
+    return closure(w, dx, dy, target)
+
+
+@lru_cache(maxsize=None)
 def transport_upper_bound(z: Walk, dx: int, dy: int, target: Rect) -> Walk:
     """Largest walk over target whose transport by (dx, dy), read on z's
-    host, lies in z: its ideal avoids the upward closure of the points of
-    z's host just above z, moved back by (-dx, -dy)."""
-    a, d = z.host.a, z.host.d
-    excluded = [(a + i - dx, h + 1 - dy) for i, h in enumerate(z.hs) if h < d]
-    return Walk(target, z.p, _avoid_up_heights(excluded, target, z.p))
+    host, lies in z.  A point q is left out exactly when q + (dx, dy) lies
+    above a point of z's host outside z, so the negated left-out points are
+    the closure of the dual of z moved by (dx, dy): the answer is the dual
+    of that closure on the negated target."""
+    return dual(closure(dual(z), dx, dy, target.negated()))
 
 
 # The search driver empties these memos as each search starts; the tuple
@@ -331,8 +326,8 @@ def lowest_extension(z: Walk, big: Rect) -> Walk:
 
 def highest_extension(z: Walk, big: Rect) -> Walk:
     """Walk of the largest ideal of ``big`` restricting to z's ideal: the
-    complement of the upward closure of the points of z's host just above
-    z.  On z's own host that ideal is z."""
+    dual of the lowest extension of the dual of z to the negated ``big``.
+    On z's own host that ideal is z."""
     if big == z.host:
         return z
     if not big.contains_rect(z.host):
@@ -340,18 +335,19 @@ def highest_extension(z: Walk, big: Rect) -> Walk:
     return transport_upper_bound(z, 0, 0, big)
 
 
-def smallest_containing(pt: Point2, host: Rect, p: int) -> Walk:
-    """Walk of the smallest ideal of host containing pt."""
-    if not host.contains(pt):
-        raise NoSuchWalk(f"{pt} outside {host}")
-    return Walk(host, p, _reach_down_heights([pt], host, p))
+def smallest_containing(pts: list[Point2], host: Rect, p: int) -> Walk:
+    """Walk of the smallest ideal of host containing every point of pts;
+    raises NoSuchWalk when one lies outside host."""
+    if not all(map(host.contains, pts)):
+        raise NoSuchWalk(f"{pts} not inside {host}")
+    return Walk(host, p, _reach_down_heights(pts, host, p))
 
 
-def largest_avoiding(pt: Point2, host: Rect, p: int) -> Walk:
-    """Walk of the largest ideal of host not containing pt."""
-    if not host.contains(pt):
-        return full_walk(host, p)
-    return Walk(host, p, _avoid_up_heights([pt], host, p))
+def largest_avoiding(pts: list[Point2], host: Rect, p: int) -> Walk:
+    """Walk of the largest ideal of host holding no point of pts: the dual
+    of the closure of the negated points in host (the others are ignored)."""
+    neg = [(-x, -y) for x, y in pts if host.contains((x, y))]
+    return dual(smallest_containing(neg, host.negated(), p))
 
 
 WalkKind = Literal[
@@ -370,30 +366,22 @@ def extremal_walk(host: Rect, anchor: Point2, kind: WalkKind, p: int) -> Walk:
         raise NoSuchWalk(f"anchor {anchor} outside host {host}")
     x, y = anchor
     a, b, c, d = host.a, host.b, host.c, host.d
-    if kind == "lowest-through":
-        return smallest_containing(anchor, host, p)
-    if kind == "lowest-start":
-        if x != a and y != d:
-            raise NoSuchWalk(f"no walk starts at {anchor} in {host}")
-        return smallest_containing(anchor, host, p)
-    if kind == "lowest-end":
-        if x != b and y != c:
-            raise NoSuchWalk(f"no walk ends at {anchor} in {host}")
-        return smallest_containing(anchor, host, p)
+    if kind == "lowest-start" and x != a and y != d:
+        raise NoSuchWalk(f"no walk starts at {anchor} in {host}")
+    if kind == "lowest-end" and x != b and y != c:
+        raise NoSuchWalk(f"no walk ends at {anchor} in {host}")
+    if kind in ("lowest-through", "lowest-start", "lowest-end"):
+        return smallest_containing([anchor], host, p)
     if kind == "highest-start":
-        if anchor == (b, d):
-            return full_walk(host, p)
         if y == d:
-            return largest_avoiding((x + 1, d), host, p)
+            return largest_avoiding([(x + 1, d)], host, p)
         if x == a:
-            return largest_avoiding((a, y + 1), host, p)
+            return largest_avoiding([(a, y + 1)], host, p)
         raise NoSuchWalk(f"no walk starts at {anchor} in {host}")
     if kind == "highest-end":
-        if anchor == (b, d):
-            return full_walk(host, p)
         if x == b:
-            return largest_avoiding((b, y + 1), host, p)
+            return largest_avoiding([(b, y + 1)], host, p)
         if y == c:
-            return largest_avoiding((x + 1, c), host, p)
+            return largest_avoiding([(x + 1, c)], host, p)
         raise NoSuchWalk(f"no walk ends at {anchor} in {host}")
     raise NoSuchWalk(f"unknown walk family {kind!r}")

@@ -219,21 +219,33 @@ class TestDefiningSet:
         assert code == 0
         assert out.split()[0] == "0"
 
-    def test_non_ideal_exit_4(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "points",
+        [[[1, 0, 0]], [[0, 0, 0], [5, 0, 0]]],
+        ids=["not-closed", "outside-box"],
+    )
+    @pytest.mark.parametrize("command", ["defining-set", "render"])
+    def test_non_ideal_exit_4(self, capsys, tmp_path, command, points):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"points": [[1, 0, 0]]}))
-        code, _, err = run(
-            capsys, "defining-set", "--p", "2", "--m", "3", "--r", "1", str(path)
+        path.write_text(json.dumps({"points": points}))
+        code, out, err = run(
+            capsys, command, "--p", "2", "--m", "3", "--r", "1", str(path)
         )
         assert code == 4
         assert "not an invariant ideal" in err
+        assert out == ""
 
-    @pytest.mark.parametrize("kind", ["garbage", "missing"])
+    @pytest.mark.parametrize("kind", ["garbage", "missing", "float", "bool"])
     @pytest.mark.parametrize("command", ["defining-set", "render", "verify"])
     def test_unparseable_exit_2(self, capsys, tmp_path, command, kind):
         path = tmp_path / "ideal.json"
         if kind == "garbage":
             path.write_text('{"points": [[0, 0, ')
+        elif kind == "float":
+            # int() would truncate this to the origin, an ideal
+            path.write_text(json.dumps({"points": [[0.9, 0, 0]]}))
+        elif kind == "bool":
+            path.write_text(json.dumps({"points": [[False, False, False]]}))
         flag = ["--ideal"] if command == "verify" else []
         code, out, err = run(
             capsys, command, "--p", "2", "--m", "3", "--r", "1", *flag, str(path)

@@ -1,5 +1,6 @@
 """Walk calculus: validation, the boundary bijection, lattice ops,
-restriction, shift, transports, extensions and extremal walks."""
+restriction, shift, transports, the order dual, extensions and extremal
+walks."""
 
 import random
 from itertools import islice
@@ -29,14 +30,17 @@ from coneideal.slicing import enumerate_interval
 from coneideal.walks import (
     IdealSet2,
     Rect,
+    dual,
     empty_walk,
     extremal_walk,
     full_walk,
     highest_extension,
     ideal_transport,
     join,
+    largest_avoiding,
     lowest_extension,
     meet,
+    smallest_containing,
     transport_upper_bound,
     walk_from_heights,
     walk_leq,
@@ -426,6 +430,74 @@ class TestTransports:
                     assert transport_upper_bound(w, dx, dy, target) == walk_of(
                         IdealSet2(target, allowed), p
                     )
+
+
+# the hosts of TestTransports
+TRANSPORT_HOSTS = [Rect(0, 2, 0, 2), Rect(0, 3, 0, 1), Rect(1, 2, -1, 2)]
+
+
+class TestDual:
+    """The order dual against point sets, for every ideal of the transport
+    hosts, and the point-list extremal walks against a scan of all ideals."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("host", TRANSPORT_HOSTS, ids=str)
+    def test_negated_complement(self, p, host):
+        neg = host.negated()
+        assert neg == Rect(-host.b, -host.a, -host.d, -host.c)
+        for pts in all_rect_ideals(host, p):
+            w = walk_of(IdealSet2(host, pts), p)
+            rest = frozenset((-x, -y) for x, y in host.points() if (x, y) not in pts)
+            assert dual(w) == walk_of(IdealSet2(neg, rest), p)
+            assert dual(dual(w)) == w
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("host", TRANSPORT_HOSTS, ids=str)
+    def test_swaps_meet_and_join(self, p, host):
+        walks = [walk_of(IdealSet2(host, pts), p) for pts in all_rect_ideals(host, p)]
+        for w1 in walks:
+            for w2 in walks:
+                assert dual(meet(w1, w2)) == join(dual(w1), dual(w2))
+                assert dual(join(w1, w2)) == meet(dual(w1), dual(w2))
+                assert walk_leq(w1, w2) == walk_leq(dual(w2), dual(w1))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("host", TRANSPORT_HOSTS, ids=str)
+    def test_empty_and_full(self, p, host):
+        assert dual(empty_walk(host, p)) == full_walk(host.negated(), p)
+        assert dual(full_walk(host, p)) == empty_walk(host.negated(), p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("host", TRANSPORT_HOSTS, ids=str)
+    def test_point_lists_against_scan(self, p, host):
+        ideals = all_rect_ideals(host, p)
+        inside = list(host.points())
+        lists = [[]] + [[u] for u in inside] + [[u, v] for u in inside for v in inside]
+        for pts in lists:
+            holding = [s for s in ideals if all(u in s for u in pts)]
+            least = frozenset.intersection(*holding)
+            assert least in holding
+            assert smallest_containing(pts, host, p) == walk_of(
+                IdealSet2(host, least), p
+            )
+            avoiding = [s for s in ideals if not any(u in s for u in pts)]
+            most = frozenset().union(*avoiding)
+            assert most in avoiding
+            assert largest_avoiding(pts, host, p) == walk_of(IdealSet2(host, most), p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("host", TRANSPORT_HOSTS, ids=str)
+    def test_points_outside_host(self, p, host):
+        a, b, c, d = host.a, host.b, host.c, host.d
+        outside = [(a - 1, c - 1), (a - 1, d), (b + 1, c), (a, d + 1), (b, c - 1)]
+        for out in outside:
+            for pts in ([], [(a, c)], [(b, d)]):
+                with pytest.raises(NoSuchWalk):
+                    smallest_containing(pts + [out], host, p)
+                assert largest_avoiding(pts + [out], host, p) == largest_avoiding(
+                    pts, host, p
+                )
+        assert largest_avoiding(outside, host, p) == full_walk(host, p)
 
 
 class TestExtremalWalks:
