@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import cache
 from typing import Callable, Iterator, Optional, TextIO
 
 from .codes import (
@@ -28,8 +29,8 @@ from .errors import CapExceeded, ConeIdealError, NotInvariant, OutOfRange
 from .fields import DEFAULT_FIELD_CAP
 from .order import Params
 from .render import ascii_layers, svg_cubes
-from .slicing import enumerate_all_r3, layers_to_points
-from .symmetric import assembled_points, enumerate_all_r1, SymLayerSequence
+from .slicing import enumerate_all_r3, layer_points, stack_points
+from .symmetric import enumerate_all_r1, shell_points
 
 EXIT_BAD_PARAMS = 2
 EXIT_CAP = 3
@@ -61,7 +62,11 @@ def _emit(args: argparse.Namespace) -> Iterator[TextIO]:
     if not args.emit:
         yield sys.stdout
         return
-    with open(args.emit, "w", encoding="utf-8") as out:
+    try:
+        out = open(args.emit, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(EXIT_BAD_PARAMS, f"cannot write {args.emit}: {exc}")
+    with out:
         yield out
 
 
@@ -75,31 +80,29 @@ def _shards(args: argparse.Namespace) -> Optional[tuple[int, int]]:
 
 def _engine(params: Params) -> tuple[Callable, str, Callable]:
     """The engine for params.r: its search, the JSONL key of the walks it
-    emits, and the 3D point set of one emitted walk tuple."""
+    emits, and the 3D point set of the layer of index j of an emitted walk
+    tuple, whose union over j is the ideal (:func:`stack_points`)."""
     if params.r == 3:
-        return enumerate_all_r3, "layers", layers_to_points
-    return (
-        enumerate_all_r1,
-        "sym_layers",
-        lambda walks: assembled_points(SymLayerSequence(params, walks)),
-    )
+        return enumerate_all_r3, "layers", layer_points
+    return enumerate_all_r1, "sym_layers", shell_points
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     params = _params(args)
     shards = _shards(args)
-    search, key, to_points = _engine(params)
+    search, key, points_of = _engine(params)
     if args.count_only:
         print(search(params, mode="count", shards=shards))
         return 0
     # json.dumps of {"p", "m", "r", key[, "points"]} from cached walk texts
     head = json.dumps({"p": params.p, "m": params.m, "r": params.r, key: []})[:-2]
     points = args.format == "points"
+    layer = cache(points_of)  # each distinct (index, walk) layer built once per stream
     with _emit(args) as out:
         for walks in search(params, mode="stream", shards=shards):
             line = head + ", ".join([w.json_text for w in walks]) + "]"
             if points:
-                line += ', "points": ' + json.dumps(sorted(to_points(walks)))
+                line += ', "points": ' + json.dumps(sorted(stack_points(walks, layer)))
             out.write(line + "}\n")
     return 0
 
@@ -143,8 +146,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.ideal:
         ideals = [_load_ideal(args.ideal)]
     else:
-        search, _, to_points = _engine(params)
-        ideals = map(to_points, search(params, mode="stream"))
+        search, _, points_of = _engine(params)
+        ideals = (stack_points(ws, points_of) for ws in search(params, mode="stream"))
     try:
         gens = agl_generators(params, cap_field=args.cap_field)
     except CapExceeded as exc:

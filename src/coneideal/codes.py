@@ -129,20 +129,6 @@ class CodeSpec:
     def dimension(self) -> int:
         return self.fld.order - len(self.pivots)
 
-    def fingerprint(self) -> tuple:
-        return tuple(map(tuple, self.rref.tolist()))
-
-    def summary(self) -> dict:
-        """JSON-ready digest of the built code."""
-        return {
-            "p": self.params.p,
-            "m": self.params.m,
-            "r": self.params.r,
-            "ideal_points": sorted(self.ideal),
-            "defining_count": self.defining_count,
-            "dimension": self.dimension,
-        }
-
 
 def _orbit_leaders(defining: Sequence[int], params: Params) -> np.ndarray:
     """The least exponent of each orbit {s, s p^r, s p^{2r}, ...} of an

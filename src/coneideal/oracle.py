@@ -19,12 +19,15 @@ of the order (:func:`precedes_generic`, :func:`section_precedes`,
 (:func:`walk_from_obj`, :func:`walk_from_corners` with its step rules
 :func:`validate_walk`), which decodes and checks emitted lines, and the
 explicit ideal, restriction and shift of a walk (:func:`ideal_of`,
-:func:`restrict`, :func:`shift`);
+:func:`restrict`, :func:`shift`), and the points, shift, size and membership
+of rectangles and walks (:func:`rect_points`, :func:`rect_shifted`,
+:func:`walk_size`, :func:`walk_contains`);
 :func:`equivalent_transport_conditions`, whose last three conditions are the
 walk-calculus forms checked against the first three on point sets; and for
 the codes the scalar digit-class sums (:func:`digit_class_sums`, referee of
-:func:`coneideal.codes.preimage_list`), the codeword-level invariance check
-(:func:`verify_invariance_on_words` with :func:`kernel_basis`,
+:func:`coneideal.codes.preimage_list`), the digests of a built code
+(:func:`code_fingerprint`, :func:`code_summary`), the codeword-level
+invariance check (:func:`verify_invariance_on_words` with :func:`kernel_basis`,
 :func:`word_in_code`), the scalar row reduction (:func:`scalar_rref`) and
 group order (:func:`group_closure_order`).
 """
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Callable, Iterable, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 from .codes import CodeSpec
 from .errors import (
@@ -61,6 +64,29 @@ from .walks import (
 )
 
 MAX_POSET = 80
+
+
+# -- rectangles and walks as point sets --
+
+
+def rect_points(rect: Rect) -> Iterator[Point2]:
+    for x in range(rect.a, rect.b + 1):
+        for y in range(rect.c, rect.d + 1):
+            yield (x, y)
+
+
+def rect_shifted(rect: Rect, dx: int, dy: int) -> Rect:
+    return Rect(rect.a + dx, rect.b + dx, rect.c + dy, rect.d + dy)
+
+
+def walk_size(w: Walk) -> int:
+    c = w.host.c
+    return sum(h - c + 1 for h in w.hs if h >= c)
+
+
+def walk_contains(w: Walk, pt: Point2) -> bool:
+    """Membership of pt in the bounded ideal (False outside the host)."""
+    return w.host.contains(pt) and pt[1] <= w.hs[pt[0] - w.host.a]
 
 
 @dataclass
@@ -100,7 +126,7 @@ def box_poset(n: int, p: int) -> FinitePoset:
 
 def rect_poset(rect: Rect, p: int) -> FinitePoset:
     """A 2D rectangle under the planar cone order, in a linear extension."""
-    pts = sorted(rect.points(), key=lambda q: (q[0] + q[1], q[1], q[0]))
+    pts = sorted(rect_points(rect), key=lambda q: (q[0] + q[1], q[1], q[0]))
     return poset_from(pts, lambda u, v: precedes2(u, v, p))
 
 
@@ -169,13 +195,13 @@ def brute_extension(
     if which == "smallest":
         return frozenset(
             w
-            for w in big.points()
+            for w in rect_points(big)
             if any(precedes2(w, u, p) for u in restriction)
         )
-    missing = [u for u in small.points() if u not in restriction]
+    missing = [u for u in rect_points(small) if u not in restriction]
     return frozenset(
         w
-        for w in big.points()
+        for w in rect_points(big)
         if not any(precedes2(u, w, p) for u in missing)
     )
 
@@ -488,7 +514,7 @@ def is_consistent_sym(
         sec_corners = list(cum_walks[j].points)
         for x in range(i + 1):
             for y in range(i + 1):
-                if candidate.contains((x, y)):
+                if walk_contains(candidate, (x, y)):
                     continue
                 if any(
                     precedes3((x, y, i), (cx, cy, j), p) for cx, cy in sec_corners
@@ -512,14 +538,14 @@ def is_consistent_sym(
             if any(
                 precedes3((alpha, i, gamma), (cx, cy, i), p) for cx, cy in corners
             ):
-                if not candidate.contains((gamma, alpha)):
+                if not walk_contains(candidate, (gamma, alpha)):
                     return False
     for beta in range(i + 1):
         for gamma in range(i + 1):
             if any(
                 precedes3((i, beta, gamma), (cx, cy, i), p) for cx, cy in corners
             ):
-                if not candidate.contains((beta, gamma)):
+                if not walk_contains(candidate, (beta, gamma)):
                     return False
     return True
 
@@ -660,7 +686,7 @@ def restrict(w: Walk, sub: Rect) -> Walk:
 
 def shift(w: Walk, dx: int, dy: int) -> Walk:
     """Translate a walk (and its host) by (dx, dy)."""
-    return Walk(w.host.shifted(dx, dy), w.p, tuple(h + dy for h in w.hs))
+    return Walk(rect_shifted(w.host, dx, dy), w.p, tuple(h + dy for h in w.hs))
 
 
 # -- the transport conditions, on point sets and on walks --
@@ -680,7 +706,7 @@ def equivalent_transport_conditions(
     if k_set.host != u:
         raise InconsistentInput("both ideals must share a host")
     big = Rect(u.a, u.b + a, u.c - b, u.d)
-    window = u.shifted(a, -b)
+    window = rect_shifted(u, a, -b)
     w_walk = walk_of(j_set, p)
     j_max = w_walk.points
 
@@ -690,18 +716,18 @@ def equivalent_transport_conditions(
         )
 
     # largest ideal of big restricting to K, by raw exclusion
-    k_missing = [q for q in u.points() if q not in k_set.points]
+    k_missing = [q for q in rect_points(u) if q not in k_set.points]
     k_bar = frozenset(
         w
-        for w in big.points()
+        for w in rect_points(big)
         if not any(precedes2(q, w, p) for q in k_missing)
     )
 
     cond1 = not any(
-        reaches(w) for w in u.points() if w not in k_set.points
+        reaches(w) for w in rect_points(u) if w not in k_set.points
     )
     cond2 = all((x + a, y - b) in k_bar for (x, y) in j_set.points)
-    cond3 = not any(reaches(w) for w in big.points() if w not in k_bar)
+    cond3 = not any(reaches(w) for w in rect_points(big) if w not in k_bar)
 
     z_walk = walk_of(k_set, p)
     moved = shift(w_walk, a, -b)
@@ -713,7 +739,23 @@ def equivalent_transport_conditions(
     return (cond1, cond2, cond3, cond4, cond5, cond6)
 
 
-# -- the codes: digit classes and codeword-level checks --
+# -- the codes: digit classes, digests and codeword-level checks --
+
+
+def code_fingerprint(spec: CodeSpec) -> tuple:
+    return tuple(map(tuple, spec.rref.tolist()))
+
+
+def code_summary(spec: CodeSpec) -> dict:
+    """JSON-ready digest of a built code."""
+    return {
+        "p": spec.params.p,
+        "m": spec.params.m,
+        "r": spec.params.r,
+        "ideal_points": sorted(spec.ideal),
+        "defining_count": spec.defining_count,
+        "dimension": spec.dimension,
+    }
 
 
 def digit_class_sums(s: int, params: Params) -> tuple[int, int, int]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, TypeVar
 
 from .errors import BoundsInverted
-from .order import Params
+from .order import Params, Point3
 from .walks import (
     TRANSPORT_MEMOS,
     Rect,
@@ -319,9 +319,16 @@ def enumerate_all_r3(
     return (seq.walks for seq in found)
 
 
-def layers_to_points(layers: tuple[Walk, ...]) -> frozenset[tuple[int, int, int]]:
+def layer_points(z: int, w: Walk) -> frozenset[Point3]:
+    """The points of layer z = w of a stack."""
+    return frozenset([(x, y, z) for x, y in w.ideal_points()])
+
+
+def stack_points(walks: Sequence[Walk], points_of: Callable) -> frozenset[Point3]:
+    """The points of a stack: the union of the sets points_of(j, walks[j])."""
+    return frozenset().union(*map(points_of, range(len(walks)), walks))
+
+
+def layers_to_points(layers: tuple[Walk, ...]) -> frozenset[Point3]:
     """3D point set of a full layer stack."""
-    out = []
-    for z, w in enumerate(layers):
-        out.extend((x, y, z) for (x, y) in w.ideal_points())
-    return frozenset(out)
+    return stack_points(layers, layer_points)

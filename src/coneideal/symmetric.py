@@ -6,9 +6,10 @@ ideal meets shell i in the three rotated copies of a single planar ideal
 J_i of [0,i]^2 whose top row and right column match (the palindrome
 condition).  The layers below i accumulate into per-height cross sections
 of [0,i-1]^2, which the search carries down: each chosen layer updates
-them in one step read off its heights.  The forward rule of the plain
-layers (:func:`coneideal.slicing.forward_interval`) applied to those
-sections puts the admissible J_i between two walks S and T.  The choice
+them in one step read off its heights, and each distinct section is built
+and checked once per search.  The forward rule of the plain layers
+(:func:`coneideal.slicing.forward_interval`) applied to those sections
+puts the admissible J_i between two walks S and T.  The choice
 further splits by how far J_i reaches into the last two columns (no reach /
 column i-1 only / column i).  Each reach case is a fixed walk pair (L, U)
 that depends only on i and p, built once per shell; at a search node the
@@ -23,7 +24,9 @@ from typing import Iterator, Literal, Optional, Sequence
 
 from .errors import InconsistentInput, NotAnIdeal
 from .order import Params, Point2, Point3, rotate
-from .slicing import count_interval, depth_first, enumerate_interval, forward_interval
+from .slicing import (
+    count_interval, depth_first, enumerate_interval, forward_interval, stack_points
+)
 from .walks import (
     Rect,
     Walk,
@@ -49,50 +52,62 @@ def shell_host(i: int) -> Rect:
     return Rect(0, i, 0, i)
 
 
+def shell_points(j: int, w: Walk) -> frozenset[Point3]:
+    """The points of shell layer j = w and its two rotations."""
+    out: set[Point3] = set()
+    for x, y in w.ideal_points():
+        u = (x, y, j)
+        v = rotate(u)
+        out.update((u, v, rotate(v)))
+    return frozenset(out)
+
+
 def assembled_points(seq: SymLayerSequence) -> frozenset[Point3]:
     """3D point set of a shell stack: each layer and its two rotations."""
-    out: set[Point3] = set()
-    for j, w in enumerate(seq.walks):
-        for x, y in w.ideal_points():
-            u = (x, y, j)
-            v = rotate(u)
-            out.update((u, v, rotate(v)))
-    return frozenset(out)
+    return stack_points(seq.walks, shell_points)
 
 
 def accumulated_walks(seq: SymLayerSequence, i: int) -> list[Walk]:
     """Per-height cross sections of the union of rotated layers 0..i-1:
     entry s is the walk of the z = s section, an ideal of [0,i-1]^2."""
-    return list(reduce(_with_shell, seq.walks[:i], ()))
+    return list(reduce(partial(_with_shell, built={}), seq.walks[:i], ()))
 
 
-def _with_shell(sections: tuple[Walk, ...], w: Walk) -> tuple[Walk, ...]:
+def _with_shell(sections: tuple[Walk, ...], w: Walk, built: dict) -> tuple[Walk, ...]:
     """The cross sections once layer J_i = w of shell i = len(sections)
     joins them, all on [0,i]^2.
 
     J_i opens section i with its own heights.  Its two rotated copies put,
-    in every section s <= i, column i up to #{x : J_i[x] >= s} - 1 and
-    row i over columns 0..J_i[s].  Raises InconsistentInput when a column
-    has a gap or the heights are not a closed profile.
+    in every section s <= i, column i up to c_s = #{x : J_i[x] >= s} - 1
+    and row i over columns 0..J_i[s].  So a new section s < i is a function
+    of the key (old section s, J_i[s], c_s), and section i of (w,): each
+    key is built and checked once per ``built`` dict, one per search.  A
+    key that raises InconsistentInput is not stored, so it raises again,
+    for its own s, at every node that reaches it.
     """
     i = len(sections)
-    host = shell_host(i)
     hs = w.hs
     out = []
+    col = i  # c_s: the heights do not increase, so one pass finds them all
     for s in range(i + 1):
-        col = sum(v >= s for v in hs) - 1
-        heights = [*sections[s].hs, col] if s < i else [*hs[:i], max(hs[i], col)]
-        # rows go up one at a time: a column below row i - 1 has a gap
-        for x in range(hs[s] + 1):
-            if heights[x] < i - 1:
-                raise InconsistentInput(f"section {s} has a gap in column {x}")
-            heights[x] = i
-        try:
-            out.append(walk_from_heights(tuple(heights), host, w.p))
-        except NotAnIdeal as exc:
-            raise InconsistentInput(
-                f"section {s} heights {heights} are not an ideal"
-            ) from exc
+        while col >= 0 and hs[col] < s:
+            col -= 1
+        key = (sections[s], hs[s], col) if s < i else (w,)
+        found = built.get(key)
+        if found is None:
+            heights = [*sections[s].hs, col] if s < i else [*hs[:i], max(hs[i], col)]
+            # rows go up one at a time: a column below row i - 1 has a gap
+            for x in range(hs[s] + 1):
+                if heights[x] < i - 1:
+                    raise InconsistentInput(f"section {s} has a gap in column {x}")
+                heights[x] = i
+            try:
+                found = walk_from_heights(tuple(heights), shell_host(i), w.p)
+            except NotAnIdeal as exc:
+                msg = f"section {s} heights {heights} are not an ideal"
+                raise InconsistentInput(msg) from exc
+            built[key] = found
+        out.append(found)
     return tuple(out)
 
 
@@ -177,11 +192,13 @@ def enumerate_all_r1(
     """Count or stream every rotation-invariant ideal of the box.
 
     A search node is its tuple of shell walks with their cross sections,
-    which each child updates by one :func:`_with_shell` step.  Stream mode
-    yields the tuples of shell walks (W_0, ..., W_n); ``shards`` works as
-    in :func:`coneideal.slicing.depth_first`.
+    which each child updates by one :func:`_with_shell` step, sharing the
+    sections built through one dict that lives as long as the search.
+    Stream mode yields the tuples of shell walks (W_0, ..., W_n);
+    ``shards`` works as in :func:`coneideal.slicing.depth_first`.
     """
     n = params.n
+    built: dict[tuple, Walk] = {}  # this search's sections, see _with_shell
 
     def interval(depth: int, node: tuple) -> tuple[int, Walk, Walk]:
         return (depth, *symmetric_bounds(depth, node[1], params))
@@ -189,7 +206,9 @@ def enumerate_all_r1(
     def child(depth: int, node: tuple, w: Walk) -> tuple:
         walks, sections = node
         # a leaf's sections would bound nothing
-        return walks + (w,), (sections if depth == n else _with_shell(sections, w))
+        if depth < n:
+            sections = _with_shell(sections, w, built)
+        return walks + (w,), sections
 
     choices = partial(enumerate_layer_sym, params=params)
     count_of = partial(count_layer_sym, params=params)

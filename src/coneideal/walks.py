@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Iterator, Literal
+from typing import Literal
 
 from .errors import HostMismatch, InvalidWalk, NoSuchWalk, NotAnIdeal
 from .order import Point2
@@ -60,14 +60,6 @@ class Rect:
             and self.c <= other.c
             and other.d <= self.d
         )
-
-    def points(self) -> Iterator[Point2]:
-        for x in range(self.a, self.b + 1):
-            for y in range(self.c, self.d + 1):
-                yield (x, y)
-
-    def shifted(self, dx: int, dy: int) -> "Rect":
-        return Rect(self.a + dx, self.b + dx, self.c + dy, self.d + dy)
 
     def negated(self) -> "Rect":
         """The rectangle {-u : u in self}."""
@@ -107,10 +99,6 @@ class Walk:
         """Corner sequence of the boundary walk (empty for the empty ideal)."""
         return _corners(self.hs, self.host)
 
-    def size(self) -> int:
-        c = self.host.c
-        return sum(h - c + 1 for h in self.hs if h >= c)
-
     def ideal_points(self) -> frozenset[Point2]:
         """Materialize the bounded ideal as a point set."""
         a, c = self.host.a, self.host.c
@@ -118,10 +106,6 @@ class Walk:
         for i, h in enumerate(self.hs):
             out.extend((a + i, y) for y in range(c, h + 1))
         return frozenset(out)
-
-    def contains(self, pt: Point2) -> bool:
-        """Membership of pt in the bounded ideal (False outside the host)."""
-        return self.host.contains(pt) and pt[1] <= self.hs[pt[0] - self.host.a]
 
     def to_obj(self) -> dict:
         """JSON-ready form: host [a,b,c,d] plus the corner pair array."""

@@ -22,6 +22,7 @@ from coneideal.oracle import (
     box_poset,
     brute_ideals,
     brute_layer_candidates,
+    code_fingerprint,
     equivalent_transport_conditions,
     is_consistent_backward,
     is_consistent_forward,
@@ -371,7 +372,7 @@ def test_criterion_9_code_correspondence(announce):
             fingerprints = set()
             for ideal in ideals:
                 spec = build_code(ideal, params)
-                fingerprints.add(spec.fingerprint())
+                fingerprints.add(code_fingerprint(spec))
                 assert verify_invariance(spec, gens)
                 assert in_sum_zero_space(spec) == (len(ideal) > 0)
             assert len(fingerprints) == expected

@@ -10,6 +10,8 @@ from coneideal.cli import _engine, main
 from coneideal.oracle import layer_counts
 from coneideal.render import ascii_layers, svg_cubes
 from coneideal.order import Params, rotate
+from coneideal.slicing import layers_to_points
+from coneideal.symmetric import SymLayerSequence, assembled_points
 
 from conftest import EXAMPLE_DEFINING, EXAMPLE_IDEAL
 
@@ -189,7 +191,13 @@ def test_lines_equal_encoded_records(capsys, p, m, r, shards, fmt):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     params = Params(p=p, m=m, r=r)
-    search, key, to_points = _engine(params)
+    search, key, _ = _engine(params)
+
+    def to_points(walks):  # the whole-stack point set, not the CLI's layer lists
+        if r == 3:
+            return layers_to_points(walks)
+        return assembled_points(SymLayerSequence(params, walks))
+
     expected = []
     for walks in search(params, mode="stream", shards=shards):
         rec = {"p": p, "m": m, "r": r, key: [w.to_obj() for w in walks]}
@@ -198,6 +206,19 @@ def test_lines_equal_encoded_records(capsys, p, m, r, shards, fmt):
         expected.append(json.dumps(rec))
     assert out.splitlines() == expected
     assert out.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["enumerate", "defining-set", "render"])
+def test_unwritable_emit_exit_2(capsys, tmp_path, example_file, command):
+    target = tmp_path / "missing" / "out.txt"
+    argv = [command, "--p", "3", "--m", "6", "--r", "1", "--emit", str(target)]
+    if command != "enumerate":
+        argv.append(example_file)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"cannot write {target}: ")
+    assert "Traceback" not in err
+    assert out == "" and not target.parent.exists()
 
 
 class TestDefiningSet:

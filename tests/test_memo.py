@@ -75,6 +75,50 @@ def test_r1_count_still_checks_every_node():
         enumerate_all_r1(Params(p=2, m=18, r=1), mode="count")
 
 
+@pytest.mark.parametrize("mode", ["count", "stream"])
+@pytest.mark.parametrize("p,m", [(3, 6), (2, 15)])
+def test_r1_search_builds_each_section_once(monkeypatch, p, m, mode):
+    # a new section s < i is a function of (old section s, J_i[s], c_s),
+    # c_s = #{x : J_i[x] >= s} - 1, and section i of the layer alone
+    params = Params(p=p, m=m, r=1)
+    expected = enumerate_all_r1(params, mode="count")
+    keys, built = [], []
+    real_step = symmetric._with_shell
+
+    def step(sections, w, memo):
+        hs = w.hs
+        for s in range(len(sections)):
+            keys.append((sections[s], hs[s], sum(h >= s for h in hs) - 1))
+        keys.append((w,))
+        return real_step(sections, w, memo)
+
+    monkeypatch.setattr(symmetric, "_with_shell", step)
+    _spy(monkeypatch, symmetric, "walk_from_heights", built)
+    found = enumerate_all_r1(params, mode=mode)
+    assert (found if mode == "count" else sum(1 for _ in found)) == expected
+    assert len(built) == len(set(keys)) < len(keys)
+
+
+def test_failed_sections_raise_every_time():
+    # a key that raises is not stored, so every node that reaches it
+    # raises again with its own message
+    from test_symmetric import _defect_stack
+
+    stack = _defect_stack(6)
+    message = "section 1 heights [5, 5, 5, 4, 4, 4] are not an ideal"
+    for _ in range(2):
+        with pytest.raises(InconsistentInput) as info:
+            symmetric.accumulated_walks(stack, 6)
+        assert str(info.value) == message
+    # one memo across steps, as in a search: only section 0 is stored
+    sections, built = tuple(symmetric.accumulated_walks(stack, 5)), {}
+    for _ in range(2):
+        with pytest.raises(InconsistentInput) as info:
+            symmetric._with_shell(sections, stack.walks[5], built)
+        assert str(info.value) == message
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("direction", ["backward", "forward"])
 @pytest.mark.parametrize("p,m", R3_INSTANCES)
 def test_r3_count_counts_each_interval_once(monkeypatch, p, m, direction):

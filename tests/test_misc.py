@@ -4,6 +4,7 @@ import json
 
 from coneideal.codes import build_code
 from coneideal.oracle import (
+    code_summary,
     is_consistent_backward,
     is_consistent_forward,
     precedes_generic,
@@ -65,7 +66,7 @@ class TestCodeSummary:
     def test_summary_shape(self):
         params = Params(p=2, m=3, r=1)
         spec = build_code(frozenset({(0, 0, 0)}), params)
-        digest = spec.summary()
+        digest = code_summary(spec)
         assert digest == {
             "p": 2,
             "m": 3,

@@ -13,6 +13,7 @@ from coneideal.oracle import (
     brute_layer_candidates,
     ideal_3d,
     poset_from,
+    rect_points,
     rect_poset,
 )
 from coneideal.order import Params
@@ -54,11 +55,11 @@ class TestBruteIdeals:
 class TestBruteExtension:
     def test_full_restriction(self):
         small, big = Rect(1, 2, 1, 2), Rect(0, 3, 0, 3)
-        full_small = frozenset(small.points())
+        full_small = frozenset(rect_points(small))
         largest = brute_extension(full_small, small, big, "largest", 2)
-        assert largest == frozenset(big.points())
+        assert largest == frozenset(rect_points(big))
         smallest = brute_extension(full_small, small, big, "smallest", 2)
-        assert full_small <= smallest < frozenset(big.points())
+        assert full_small <= smallest < frozenset(rect_points(big))
 
     def test_empty_restriction_same_rect(self):
         host = Rect(0, 2, 0, 2)
@@ -75,7 +76,7 @@ class TestBruteExtension:
                 from coneideal.order import precedes2
 
                 for u in walkable:
-                    for w in big.points():
+                    for w in rect_points(big):
                         if precedes2(w, u, 2):
                             assert w in walkable
                 assert {q for q in got if small.contains(q)} == set(pts)
@@ -103,7 +104,7 @@ class TestBruteLayerCandidates:
     def test_full_prefix_forces_full(self):
         params = Params(p=2, m=6, r=3)
         u = Rect(0, params.n, 0, params.n)
-        full = frozenset(u.points())
+        full = frozenset(rect_points(u))
         got = brute_layer_candidates("forward", {0: full, 1: full}, 2, params)
         # layers above a full layer may be anything above the transport;
         # layers BELOW a full stack must be full, so check the backward view

@@ -9,7 +9,13 @@ import random
 
 import pytest
 
-from coneideal.oracle import accumulate_layers, all_rect_ideals, restrict, shift
+from coneideal.oracle import (
+    accumulate_layers,
+    all_rect_ideals,
+    rect_points,
+    restrict,
+    shift,
+)
 from coneideal.order import Params, precedes2, precedes3
 from coneideal.slicing import ideal_transport
 from coneideal.symmetric import (
@@ -29,7 +35,7 @@ from coneideal.walks import (
 
 def raw_transport_subset(j_pts, dx, dy, target, k_pts, p):
     """[J + cone + (dx, dy)] within target is contained in K (raw loops)."""
-    for w in target.points():
+    for w in rect_points(target):
         if w in k_pts:
             continue
         for (ux, uy) in j_pts:

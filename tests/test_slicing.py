@@ -14,6 +14,7 @@ from coneideal.oracle import (
     equivalent_transport_conditions,
     is_consistent_backward,
     is_consistent_forward,
+    rect_points,
 )
 from coneideal.order import Params
 from coneideal.slicing import (
@@ -305,7 +306,7 @@ class TestSixWayEquivalence:
     def test_trivial_cases(self):
         u = Rect(0, 2, 0, 2)
         empty = IdealSet2(u, frozenset())
-        full = IdealSet2(u, frozenset(u.points()))
+        full = IdealSet2(u, frozenset(rect_points(u)))
         some = IdealSet2(u, frozenset({(0, 0)}))
         assert all(equivalent_transport_conditions(empty, some, 1, 1, 2))
         assert all(equivalent_transport_conditions(some, full, 2, 0, 2))

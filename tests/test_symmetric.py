@@ -19,6 +19,7 @@ from coneideal.oracle import (
     is_consistent_sym,
     is_palindromic,
     rotation_invariant_3d,
+    walk_contains,
     walk_from_corners,
 )
 from coneideal.order import Params
@@ -132,9 +133,9 @@ class TestAccumulate:
             checked[0] += 1
             return real_bounds(i, cum, params)
 
-        def step(sections, w):
+        def step(sections, w, built):
             checked[1] += 1
-            return real_step(sections, w)
+            return real_step(sections, w, built)
 
         monkeypatch.setattr(symmetric, "depth_first", first)
         monkeypatch.setattr(symmetric, "symmetric_bounds", bounds)
@@ -226,7 +227,7 @@ class TestReachCases:
                 and (
                     classify_reach(w, i) is not LayerReach.EDGE
                     or p * w.hs[i - 1] <= (p - 1) * i
-                    and (i < p or w.contains((w.hs[i - 1], i - p)))
+                    and (i < p or walk_contains(w, (w.hs[i - 1], i - p)))
                 )
             }
             assert set(seen) == expected, (p, i)

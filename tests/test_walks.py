@@ -19,11 +19,15 @@ from coneideal.oracle import (
     all_rect_ideals,
     brute_extension,
     ideal_of,
+    rect_points,
+    rect_shifted,
     restrict,
     shift,
     validate_walk,
+    walk_contains,
     walk_from_corners,
     walk_from_obj,
+    walk_size,
 )
 from coneideal.order import precedes2
 from coneideal.slicing import enumerate_interval
@@ -117,7 +121,7 @@ class TestValidation:
 
 class TestBoundaryBijection:
     def test_reference_ideal_size(self):
-        assert staircase_walk().size() == 44
+        assert walk_size(staircase_walk()) == 44
 
     def test_empty_and_full(self):
         host = Rect(0, 4, 0, 4)
@@ -221,7 +225,7 @@ class TestLattice:
                 assert memo[other] == "found"
         # equality sees host and p as well as the heights
         assert walk_from_heights((3, 2, 1, 0), host, 3) not in {by_heights}
-        assert walk_from_heights((5, 4, 3, 2), host.shifted(0, 2), p) not in {by_heights}
+        assert walk_from_heights((5, 4, 3, 2), rect_shifted(host, 0, 2), p) not in {by_heights}
 
     def test_lattice_laws_exhaustive_tiny(self):
         host, p = Rect(0, 2, 0, 2), 2
@@ -409,17 +413,17 @@ class TestTransports:
         targets = _transport_targets(host)
         for pts in all_rect_ideals(host, p):
             w = walk_of(IdealSet2(host, pts), p)
-            missing = [m for m in host.points() if m not in pts]
+            missing = [m for m in rect_points(host) if m not in pts]
             for dx, dy in shifts:
                 for target in targets:
                     reached = frozenset(
                         q
-                        for q in target.points()
+                        for q in rect_points(target)
                         if any(precedes2(q, (ux + dx, uy + dy), p) for ux, uy in pts)
                     )
                     allowed = frozenset(
                         q
-                        for q in target.points()
+                        for q in rect_points(target)
                         if not any(
                             precedes2(m, (q[0] + dx, q[1] + dy), p) for m in missing
                         )
@@ -447,7 +451,7 @@ class TestDual:
         assert neg == Rect(-host.b, -host.a, -host.d, -host.c)
         for pts in all_rect_ideals(host, p):
             w = walk_of(IdealSet2(host, pts), p)
-            rest = frozenset((-x, -y) for x, y in host.points() if (x, y) not in pts)
+            rest = frozenset((-x, -y) for x, y in rect_points(host) if (x, y) not in pts)
             assert dual(w) == walk_of(IdealSet2(neg, rest), p)
             assert dual(dual(w)) == w
 
@@ -471,7 +475,7 @@ class TestDual:
     @pytest.mark.parametrize("host", TRANSPORT_HOSTS, ids=str)
     def test_point_lists_against_scan(self, p, host):
         ideals = all_rect_ideals(host, p)
-        inside = list(host.points())
+        inside = list(rect_points(host))
         lists = [[]] + [[u] for u in inside] + [[u, v] for u in inside for v in inside]
         for pts in lists:
             holding = [s for s in ideals if all(u in s for u in pts)]
@@ -513,7 +517,7 @@ class TestExtremalWalks:
                 anchor = (ax, ay)
                 start = [w for w in walks if w.points and w.points[0] == anchor]
                 end = [w for w in walks if w.points and w.points[-1] == anchor]
-                through = [w for w in walks if w.contains(anchor)]
+                through = [w for w in walks if walk_contains(w, anchor)]
                 for kind, fam, lowest in (
                     ("lowest-start", start, True),
                     ("highest-start", start, False),
