@@ -144,7 +144,7 @@ def cmd_defining_set(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _params(args)
     if args.ideal:
-        ideals = [_load_ideal(args.ideal)]
+        ideals = [_load_invariant_ideal(args.ideal, params)]
     else:
         search, _, points_of = _engine(params)
         ideals = (stack_points(ws, points_of) for ws in search(params, mode="stream"))

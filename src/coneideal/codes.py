@@ -156,11 +156,9 @@ def _expand_rows(fld: SmallField, rows: Sequence[np.ndarray], r: int) -> np.ndar
     """Split GF(p^m)-valued rows into k/r coordinate rows over GF(p^r), as
     field encodings, the k/r rows of each input row consecutive."""
     sub = fld.subfield(r)
-    p, k = fld.p, fld.k
     mat = np.array(rows, dtype=np.int64).reshape(len(rows), fld.order)
-    digits = mat[:, :, None] // p ** np.arange(k) % p
-    coords = (digits @ sub.split.T % p).reshape(*mat.shape, k // r, r)
-    sub_rows = sub.elements[sub.from_coords[coords @ p ** np.arange(r)]]
+    coords = fld.fp_coordinates(mat, r).reshape(*mat.shape, fld.k // r, r)
+    sub_rows = sub.elements[sub.from_coords[coords @ fld.p ** np.arange(r)]]
     return sub_rows.transpose(0, 2, 1).reshape(-1, fld.order)
 
 
@@ -259,27 +257,23 @@ def agl_generators(
     module rank exceeds one) a transvection and a cyclic basis shift.
     """
     fld = shared_field(params.p, params.m, cap=cap_field)
-    order = fld.elements_in_order()
-    index = {e: i for i, e in enumerate(order)}
-    k = fld.k // 3
-    to_coords = [fld.coordinates(e, 3) for e in range(fld.order)]
-    # multiplicative generator of the degree-3 subfield
-    theta = fld.exp[(fld.order - 1) // (params.p**3 - 1)]
-
-    def perm_of(fn) -> tuple[int, ...]:
-        """The permutation made by a map of coordinate vectors."""
-        return tuple(index[fld.from_coordinates(fn(to_coords[e]), 3)] for e in order)
-
-    # translation by the basis vector x^t adds 1 to coordinate t
-    gens = [
-        perm_of(lambda cs, t=t: cs[:t] + [fld.add(cs[t], 1)] + cs[t + 1 :])
-        for t in range(k)
-    ]
-    gens.append(perm_of(lambda cs: [fld.mul(theta, cs[0])] + cs[1:]))
-    if k >= 2:
-        gens.append(perm_of(lambda cs: [fld.add(cs[0], cs[1])] + cs[1:]))
-        gens.append(perm_of(lambda cs: cs[1:] + cs[:1]))
-    return gens
+    # F_p-coordinates over {sigma_j x^t}, column 3t + j for sigma_j x^t, where
+    # sigma_j = theta^j and theta = exp[step] generates the degree-3 subfield
+    cs = fld.fp_coordinates(fld.elements_in_order(), 3)
+    weights = fld.p ** np.arange(fld.k)
+    position = np.empty(fld.order, dtype=np.int64)
+    position[cs @ weights] = np.arange(fld.order)
+    step = (fld.order - 1) // (fld.p**3 - 1)
+    eye = np.eye(fld.k, dtype=np.int64)
+    scale = eye.copy()  # rows 0..2: the coordinates of theta * sigma_j
+    scale[:3, :3] = fld.fp_coordinates(fld.exp[step : 4 * step : step], 3)[:, :3]
+    # translation by the basis vector x^t adds 1 to coordinate 3t
+    moved = [cs + eye[3 * t] for t in range(fld.k // 3)] + [cs @ scale]
+    if fld.k > 3:
+        sheared = cs.copy()
+        sheared[:, :3] += cs[:, 3:6]
+        moved += [sheared, np.roll(cs, -3, axis=1)]
+    return [tuple(position[c % fld.p @ weights].tolist()) for c in moved]
 
 
 def verify_invariance(spec: CodeSpec, gens: list[tuple[int, ...]]) -> bool:

@@ -165,7 +165,6 @@ class SmallField:
             for g in range(1, q)
             if all(self._raw_pow(g, group // f) != 1 for f in factors)
         )
-        self.gamma = gamma
         acc = 1
         exp = []
         for _ in range(group):
@@ -244,18 +243,21 @@ class SmallField:
             self._coord_cache[r] = cached
         return cached
 
+    def fp_coordinates(self, encodings, r: int) -> np.ndarray:
+        """F_p-coordinates of an array of encodings over the basis
+        {sigma_j x^t} of :meth:`_coord_matrix`, on a new last axis of length
+        k whose column r t + j is the coefficient of sigma_j x^t."""
+        inv, _ = self._coord_matrix(r)
+        digits = np.asarray(encodings, dtype=np.int64)[..., None] // self._weights
+        return digits % self.p @ inv.T % self.p
+
     def coordinates(self, e: int, r: int) -> list[int]:
         """Coordinates of e over the GF(p^r) power basis {x^t}, as subfield
         elements (length k/r)."""
-        inv, sigma = self._coord_matrix(r)
-        sol = (inv @ _digits(e, self.p, self.k) % self.p).tolist()
-        out = []
-        for t in range(0, self.k, r):
-            acc = 0
-            for s, c in zip(sigma, sol[t : t + r]):
-                acc = self.add(acc, self.mul(s, c))
-            out.append(acc)
-        return out
+        _, sigma = self._coord_matrix(r)
+        sigma_digits = np.array(sigma)[:, None] // self._weights % self.p
+        sol = self.fp_coordinates(e, r).reshape(-1, r)
+        return (sol @ sigma_digits % self.p @ self._weights).tolist()
 
     def subfield(self, r: int) -> Subfield:
         """Whole-array arithmetic of the subfield GF(p^r), built once."""
@@ -263,13 +265,6 @@ class SmallField:
         if got is None:
             got = self._subfield_cache[r] = Subfield.of(self, r)
         return got
-
-    def from_coordinates(self, coords: list[int], r: int) -> int:
-        """Inverse of :meth:`coordinates`."""
-        acc = 0
-        for t, c in enumerate(coords):
-            acc = self.add(acc, self.mul(c, self.p**t))
-        return acc
 
 
 @lru_cache(maxsize=None)
@@ -279,8 +274,10 @@ def _shared_field(p: int, k: int) -> SmallField:
 
 def shared_field(p: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> SmallField:
     """The one GF(p^k) of the process, tables built once; the cap is
-    checked on every call (a field over it raises on construction)."""
-    return _shared_field(p, k) if p**k <= cap else SmallField(p, k, cap)
+    checked on every call."""
+    if p**k > cap:
+        raise CapExceeded(f"field size {p**k} exceeds cap {cap}")
+    return _shared_field(p, k)
 
 
 @dataclass(frozen=True)
@@ -291,9 +288,8 @@ class Subfield:
     index 0 is zero and, for r = 1, an index is its value.  ``coords[i]``
     are the F_p-coordinates of element i over the basis sigma of
     :meth:`SmallField._coord_matrix`; sigma_a sigma_b = sum_c structure[a,
-    b, c] sigma_c.  ``split`` maps the digits of a GF(p^k) element to its
-    F_p-coordinates over {sigma_j x^t}; ``from_coords[sum_j c_j p^j]`` is
-    the index with coordinates c.
+    b, c] sigma_c; ``from_coords[sum_j c_j p^j]`` is the index with
+    coordinates c.
     """
 
     p: int
@@ -304,7 +300,6 @@ class Subfield:
     inv: np.ndarray
     coords: np.ndarray
     structure: np.ndarray
-    split: np.ndarray
     from_coords: np.ndarray
 
     def index(self, encodings) -> np.ndarray:
@@ -315,7 +310,7 @@ class Subfield:
         p, k = fld.p, fld.k
         if p ** (2 * r) > TABLE_CAP:
             raise CapExceeded(f"GF({p}^{r}) tables exceed {TABLE_CAP} entries")
-        split, sigma = fld._coord_matrix(r)
+        _, sigma = fld._coord_matrix(r)
         elements = np.array(sorted(fld.subfield_elements(r)), dtype=np.int64)
         index = partial(np.searchsorted, elements)
         weights = p ** np.arange(k)
@@ -343,7 +338,6 @@ class Subfield:
             inv=index(inv),
             coords=coords,
             structure=coords[mul[sig[:, None], sig]],
-            split=split,
             from_coords=from_coords,
         )
 

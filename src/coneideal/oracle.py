@@ -28,8 +28,9 @@ the codes the scalar digit-class sums (:func:`digit_class_sums`, referee of
 :func:`coneideal.codes.preimage_list`), the digests of a built code
 (:func:`code_fingerprint`, :func:`code_summary`), the codeword-level
 invariance check (:func:`verify_invariance_on_words` with :func:`kernel_basis`,
-:func:`word_in_code`), the scalar row reduction (:func:`scalar_rref`) and
-group order (:func:`group_closure_order`).
+:func:`word_in_code`), the scalar inverse of the subfield coordinates
+(:func:`from_coordinates`), the scalar row reduction (:func:`scalar_rref`)
+and group order (:func:`group_closure_order`).
 """
 
 from __future__ import annotations
@@ -768,6 +769,15 @@ def digit_class_sums(s: int, params: Params) -> tuple[int, int, int]:
         acc[pos % 3] += s % p
         s //= p
     return (acc[0], acc[1], acc[2])
+
+
+def from_coordinates(fld: SmallField, coords: list[int]) -> int:
+    """The element sum_t coords[t] x^t, one field operation at a time: the
+    inverse of :meth:`coneideal.fields.SmallField.coordinates`."""
+    acc = 0
+    for t, c in enumerate(coords):
+        acc = fld.add(acc, fld.mul(c, fld.p**t))
+    return acc
 
 
 def scalar_rref(

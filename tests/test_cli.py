@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from coneideal import cli
 from coneideal.cli import _engine, main
 from coneideal.oracle import layer_counts
 from coneideal.render import ascii_layers, svg_cubes
@@ -245,12 +246,13 @@ class TestDefiningSet:
         [[[1, 0, 0]], [[0, 0, 0], [5, 0, 0]]],
         ids=["not-closed", "outside-box"],
     )
-    @pytest.mark.parametrize("command", ["defining-set", "render"])
+    @pytest.mark.parametrize("command", ["defining-set", "render", "verify"])
     def test_non_ideal_exit_4(self, capsys, tmp_path, command, points):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"points": points}))
+        flag = ["--ideal"] if command == "verify" else []
         code, out, err = run(
-            capsys, command, "--p", "2", "--m", "3", "--r", "1", str(path)
+            capsys, command, "--p", "2", "--m", "3", "--r", "1", *flag, str(path)
         )
         assert code == 4
         assert "not an invariant ideal" in err
@@ -300,16 +302,27 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out and "defining=42" in out
 
-    def test_mutant_fails_exit_5(self, capsys, tmp_path):
+    def test_mutant_exit_4(self, capsys, tmp_path):
         broken = sorted(EXAMPLE_IDEAL - {(3, 0, 0)})
         path = tmp_path / "mutant.json"
         path.write_text(json.dumps({"points": [list(q) for q in broken]}))
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "verify", "--p", "3", "--m", "6", "--r", "1",
             "--ideal", str(path),
         )
+        assert code == 4
+        assert "not an invariant ideal" in err
+        assert out == ""
+
+    def test_failed_check_exit_5(self, capsys, monkeypatch, example_file):
+        monkeypatch.setattr(cli, "verify_invariance", lambda spec, gens: False)
+        code, out, err = run(
+            capsys, "verify", "--p", "3", "--m", "6", "--r", "1",
+            "--ideal", example_file,
+        )
         assert code == 5
-        assert "FAIL" in out
+        assert out.startswith("0\tFAIL\t") and "invariant=NO" in out
+        assert "0/1 PASS" in err
 
     def test_all_pass_degree_three_m6(self, capsys):
         code, out, err = run(capsys, "verify", "--p", "2", "--m", "6", "--r", "3")

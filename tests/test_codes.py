@@ -26,6 +26,7 @@ from coneideal.fields import SmallField, least_irreducible
 from coneideal.oracle import (
     code_fingerprint,
     digit_class_sums,
+    from_coordinates,
     group_closure_order,
     ideal_3d,
     kernel_basis,
@@ -81,7 +82,7 @@ def scalar_constraint_rows(fld, r, defining):
     sum_t c_t x^t, not computed by the coordinate map."""
     sub = fld.subfield_elements(r)
     coords = {
-        fld.from_coordinates(list(cs), r): list(cs)
+        from_coordinates(fld, list(cs)): list(cs)
         for cs in itertools.product(sub, repeat=fld.k // r)
     }
     rows = []
@@ -317,15 +318,22 @@ class TestSmallField:
         for j, v in enumerate(fld.exp):
             assert fld.log[v] == j
 
-    def test_subfield_and_coordinates(self):
-        fld = SmallField(2, 6)
-        sub = fld.subfield_elements(3)
-        assert len(sub) == 8
+    @pytest.mark.parametrize(
+        "p,k,r", [(2, 6, 3), (3, 6, 3), (2, 9, 3), (5, 3, 1), (3, 3, 3)]
+    )
+    def test_subfield_and_coordinates(self, p, k, r):
+        fld = SmallField(p, k)
+        sub = fld.subfield_elements(r)
+        assert len(sub) == p**r
         for e in range(fld.order):
-            cs = fld.coordinates(e, 3)
-            assert len(cs) == 2
+            cs = fld.coordinates(e, r)
+            assert len(cs) == k // r
             assert all(c in sub for c in cs)
-            assert fld.from_coordinates(cs, 3) == e
+            assert from_coordinates(fld, cs) == e
+        # the whole-array map is one-to-one on the field
+        fp = fld.fp_coordinates(fld.elements_in_order(), r)
+        assert fp.shape == (fld.order, k)
+        assert len({tuple(row) for row in fp.tolist()}) == fld.order
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -442,6 +450,17 @@ class TestAffineGroup:
              "fab20a93030ddeee9671716aebfcc98a8f2ce25822860eef8418014b2d898b2b"),
             ((2, 6, 3),
              "fab20a93030ddeee9671716aebfcc98a8f2ce25822860eef8418014b2d898b2b"),
+            # the one case with three blocks: a basis shift rolled the wrong
+            # way fails only here
+            ((2, 9, 1),
+             "ee1ec1840215c2966c6a053e5c53f13c8865d9798e34a7f329ef889d7473f25e"),
+            ((5, 3, 1),
+             "d5eaaf4e2a95b2c2bbed619b663223dc8c96d456f5c66e9b55b58c97755fab1b"),
+            ((7, 3, 1),
+             "e9a48ae0cf129cd4da2ec1fd4696cc939d2ea403917f1e32d797b36b726ae263"),
+            # GF(17^3) subfield tables exceed TABLE_CAP: generators need none
+            ((17, 3, 1),
+             "4e0d85b5266e0ea95021cb54413ca210ad46b83e732a24504ab936eb5815da23"),
         ],
     )
     def test_generators_pinned(self, inst, sha):
