@@ -24,7 +24,10 @@ makes the output stream canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, TypeVar
+from functools import lru_cache
+from typing import (
+    Callable, Hashable, Iterable, Iterator, Literal, Optional, Sequence, TypeVar
+)
 
 from .errors import BoundsInverted
 from .order import Params, Point3
@@ -45,16 +48,24 @@ from .walks import (
 Direction = Literal["backward", "forward"]
 
 
-def layer_host(params: Params) -> Rect:
-    n = params.n
+@lru_cache(maxsize=None)
+def square_host(n: int) -> Rect:
+    """The rectangle [0,n]^2, built once per n, not at every search node:
+    the transport memos key on their target host, and a lookup finds the
+    same object by identity."""
     return Rect(0, n, 0, n)
 
 
-@dataclass
+def layer_host(params: Params) -> Rect:
+    return square_host(params.n)
+
+
+@dataclass(slots=True)
 class LayerSequence:
     """Partial assignment of layer walks, built from one end of the stack:
     the search keeps n + 1 slots, None while unassigned; the bounds only
-    index ``walks``, so a dict of the assigned layers serves them too."""
+    index ``walks``, so a dict of the assigned layers serves them too.  An
+    r = 3 count holds a whole level of these, so they carry no __dict__."""
 
     params: Params
     walks: tuple[Optional[Walk], ...] | dict[int, Walk] = field(default_factory=dict)
@@ -223,6 +234,7 @@ def depth_first(
     count_of: Callable[..., int],
     mode: Literal["count", "stream"],
     shards: Optional[tuple[int, int]],
+    window: Optional[Callable[[int, State], Hashable]] = None,
 ):
     """The search shared by both engines: count or stream the leaves of a
     depth-first tree whose levels are 0..last.
@@ -237,11 +249,21 @@ def depth_first(
     4 * total nodes (or the leaves are reached), and only the nodes of that
     level at positions congruent to index modulo total are explored.
 
+    A count given ``window`` is a transfer-matrix sum.  ``window(depth,
+    state)`` must hold all that the keys of the node and of its
+    descendants read of it, so nodes of one level with equal windows have
+    the same number of leaves below them.  From the level the shards start
+    at, the count goes level by level and keeps one node per distinct
+    window with the number of nodes it stands for; its answer is the sum
+    over the last level of that number times the node's count.  Without
+    ``window`` a count visits every node, depth-first.
+
     Memo scope: one call.  The listing and the count are pure functions of
     the key, so the call runs ``choices`` and ``count_of`` once per distinct
     key, in dicts local to the call, and equal walks listed anywhere in the
     search are one object (so a walk's cached hash and JSON text serve them
-    all); every node still computes its own key.  The transport memos of
+    all).  A stream or a count without ``window`` computes the key of every
+    node; a count with it, of one node per window.  The transport memos of
     :mod:`coneideal.walks` are emptied as the call starts, so no search
     reuses a value computed by another.
     """
@@ -278,6 +300,19 @@ def depth_first(
         level = level[index::total]
     if mode == "count" and depth > last:
         return len(level)
+    if mode == "count" and window is not None:
+        # window -> [a node of that window, the number of nodes it stands for]
+        merged: dict[Hashable, list] = {}
+        for state in level:
+            merged.setdefault(window(depth, state), [state, 0])[1] += 1
+        for d in range(depth, last):
+            below: dict[Hashable, list] = {}
+            while merged:  # a level is freed as its children are merged
+                state, times = merged.popitem()[1]
+                for kid in children(d, state):
+                    below.setdefault(window(d + 1, kid), [kid, 0])[1] += times
+            merged = below
+        return sum(times * count(state) for state, times in merged.values())
     # chained generators walk the tree depth-first; no function refers to
     # itself, so the memos are freed as soon as the search is dropped
     nodes = iter(level)
@@ -296,7 +331,9 @@ def enumerate_all_r3(
 
     Stream mode yields tuples of walks indexed by z = 0..n.  With
     ``shards = (index, total)`` only one shard of the search tree is
-    explored (see :func:`depth_first`).
+    explored (see :func:`depth_first`).  The bounds of layer i read only
+    the p layers next to it on the assigned side, so a count merges the
+    nodes of a level that agree there (a transfer-matrix sum).
     """
     levels = list(range(params.n, -1, -1))
     if direction == "forward":
@@ -309,10 +346,20 @@ def enumerate_all_r3(
     def child(depth: int, seq: LayerSequence, w: Walk) -> LayerSequence:
         return seq.with_layer(levels[depth], w)
 
+    p = params.p
+
+    def window(depth: int, seq: LayerSequence) -> tuple[Walk, ...]:
+        # the assigned layers the bounds of layer i read; the layers after
+        # it read only these and the layers assigned below this node
+        i = levels[depth]
+        if direction == "backward":
+            return seq.walks[i + 1 : i + p + 1]
+        return seq.walks[max(0, i - p) : i]
+
     root = LayerSequence(params, (None,) * (params.n + 1))
     found = depth_first(
         root, params.n, interval, enumerate_interval, child, count_interval,
-        mode, shards,
+        mode, shards, window,
     )
     if mode == "count":
         return found

@@ -25,10 +25,10 @@ from typing import Iterator, Literal, Optional, Sequence
 from .errors import InconsistentInput, NotAnIdeal
 from .order import Params, Point2, Point3, rotate
 from .slicing import (
-    count_interval, depth_first, enumerate_interval, forward_interval, stack_points
+    count_interval, depth_first, enumerate_interval, forward_interval, square_host,
+    stack_points,
 )
 from .walks import (
-    Rect,
     Walk,
     empty_walk,
     join,
@@ -46,10 +46,6 @@ class SymLayerSequence:
 
     params: Params
     walks: tuple[Walk, ...]
-
-
-def shell_host(i: int) -> Rect:
-    return Rect(0, i, 0, i)
 
 
 def shell_points(j: int, w: Walk) -> frozenset[Point3]:
@@ -102,7 +98,7 @@ def _with_shell(sections: tuple[Walk, ...], w: Walk, built: dict) -> tuple[Walk,
                     raise InconsistentInput(f"section {s} has a gap in column {x}")
                 heights[x] = i
             try:
-                found = walk_from_heights(tuple(heights), shell_host(i), w.p)
+                found = walk_from_heights(tuple(heights), square_host(i), w.p)
             except NotAnIdeal as exc:
                 msg = f"section {s} heights {heights} are not an ideal"
                 raise InconsistentInput(msg) from exc
@@ -114,7 +110,7 @@ def _with_shell(sections: tuple[Walk, ...], w: Walk, built: dict) -> tuple[Walk,
 def symmetric_bounds(i: int, cum: Sequence[Walk], params: Params) -> tuple[Walk, Walk]:
     """Walk interval [S, T] for shell layer i: the forward rule applied to
     the accumulated sections."""
-    return forward_interval(i, cum, shell_host(i), params.p)
+    return forward_interval(i, cum, square_host(i), params.p)
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +122,7 @@ def _reach_cases(i: int, p: int) -> tuple[tuple[Walk, Walk], ...]:
     once i >= p, holds (v, i-p); or J reaches column i at height u and its
     top row to column u (the palindrome condition).  The cases are disjoint.
     """
-    host = shell_host(i)
+    host = square_host(i)
 
     def low(*pts: Point2) -> Walk:
         return smallest_containing(list(pts), host, p)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+import time
 
 import pytest
 
@@ -43,6 +44,15 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", *argv, "--count-only")
         assert code == 0
         assert out.strip() == expected
+
+    def test_r3_count_past_the_node_search(self, capsys):
+        # the transfer-matrix count: the per-node search took about 16 s
+        start = time.process_time()
+        code, out, _ = run(
+            capsys, "enumerate", "--p", "2", "--m", "12", "--r", "3", "--count-only"
+        )
+        assert (code, out) == (0, "8657670\n")
+        assert time.process_time() - start < 10
 
     def test_invalid_params_exit_2(self, capsys):
         code, _, err = run(

@@ -3,13 +3,16 @@
 
 A count must equal the length of the matching stream.  Each distinct
 interval key is listed exactly once per stream and each distinct
-last-level key counted exactly once per count, while every node still
-computes its own key; equal listed walks are one object.  The memos live
+last-level key counted exactly once per count; equal listed walks are one
+object.  An r = 1 count still computes the key of every node, while an
+r = 3 count merges the nodes of a level that share their window of
+neighbouring layers and computes one key per window.  The memos live
 for one search: answers do not depend on what ran before, every search
 starts with empty transport memos, and no walk a search built (with its
 cached JSON text) outlives it.
 """
 
+import collections
 import weakref
 
 import pytest
@@ -134,6 +137,34 @@ def test_r3_count_counts_each_interval_once(monkeypatch, p, m, direction):
     keys = [pair for (i, _, _), pair in bounds if i == last]
     assert len(counted) == len(set(keys)) < len(keys)
     assert [args for args, _ in counted] == list(dict.fromkeys(keys))
+
+
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+@pytest.mark.parametrize("p,m", R3_INSTANCES)
+def test_r3_count_bounds_once_per_window(monkeypatch, p, m, direction):
+    # the bounds of layer i read only the p layers next to it on the
+    # assigned side, so the count computes them once per distinct window
+    params = Params(p=p, m=m, r=3)
+    bounds = []
+    _spy(monkeypatch, slicing, f"{direction}_bounds", bounds)
+    stream = sum(
+        1 for _ in enumerate_all_r3(params, mode="stream", direction=direction)
+    )
+    nodes, windows = collections.Counter(), collections.defaultdict(set)
+    for (i, seq, _), _ in bounds:
+        nodes[i] += 1
+        if direction == "backward":
+            windows[i].add(seq.walks[i + 1 : i + p + 1])
+        else:
+            windows[i].add(seq.walks[max(0, i - p) : i])
+    bounds.clear()
+    assert enumerate_all_r3(params, mode="count", direction=direction) == stream
+    calls = collections.Counter(i for (i, _, _), _ in bounds)
+    assert calls == {i: len(found) for i, found in windows.items()}
+    # at p = 3, n = 2 a window is the whole assigned stack: nothing merges
+    last = 0 if direction == "backward" else params.n
+    merged = {(2, 9): (735, 6237), (3, 3): (175, 175)}[p, m]
+    assert (calls[last], nodes[last]) == merged
 
 
 def test_each_search_starts_with_empty_memos(monkeypatch):

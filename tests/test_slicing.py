@@ -1,5 +1,6 @@
 """Layer slicing for plain 3D ideals: bounds, consistency, enumeration."""
 
+import functools
 import random
 
 import pytest
@@ -300,6 +301,59 @@ class TestEnumerateAll:
             enumerate_all_r3(params, mode="count", shards=(i, 3)) for i in range(3)
         )
         assert counts == len(whole)
+        # past streaming size: each shard's count merges its own nodes only
+        params = Params(p=2, m=12, r=3)
+        counts = [
+            enumerate_all_r3(params, mode="count", shards=(i, 3)) for i in range(3)
+        ]
+        assert all(counts) and sum(counts) == _r3_count(2, 12, "backward")
+
+
+@functools.lru_cache(maxsize=None)
+def _r3_count(p: int, m: int, direction: str) -> int:
+    return enumerate_all_r3(Params(p=p, m=m, r=3), mode="count", direction=direction)
+
+
+class TestTransferMatrixCount:
+    """The r = 3 count merges the nodes of a level that share their window
+    of neighbouring layers; its referees are the streams, the other
+    direction and the rotation-fixed r = 1 count."""
+
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    @pytest.mark.parametrize("p,m", [(2, 3), (2, 6), (3, 3), (2, 9)])
+    def test_count_equals_stream_length(self, p, m, direction):
+        params = Params(p=p, m=m, r=3)
+        stream = enumerate_all_r3(params, mode="stream", direction=direction)
+        assert _r3_count(p, m, direction) == sum(1 for _ in stream)
+
+    @pytest.mark.parametrize("m", [3, 6, 9, 12])
+    def test_directions_agree_at_p2(self, m):
+        assert _r3_count(2, m, "backward") == _r3_count(2, m, "forward")
+
+    @pytest.mark.parametrize("p,m", [(2, 3), (2, 6), (2, 9), (2, 12), (3, 3)])
+    def test_congruent_to_r1_mod_3(self, p, m):
+        # rotation permutes the r = 3 ideals in orbits of size 1 or 3, and
+        # the fixed ones are the r = 1 ideals
+        r1 = enumerate_all_r1(Params(p=p, m=m, r=1), mode="count")
+        assert (_r3_count(p, m, "backward") - r1) % 3 == 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "p,m,directions,expected,r1",
+    [
+        # 5 224 is the orbit referee's r = 1 count; the engine's 5 236 is
+        # wrong (ROADMAP open item 1) but also 1 mod 3
+        (2, 15, ("backward", "forward"), 5_940_849_784, 5_224),
+        (3, 6, ("backward",), 145_739_510, 1_256),
+    ],
+)
+def test_transfer_matrix_pins(p, m, directions, expected, r1):
+    """Counts past the reach of the per-node search: about 8 s per
+    direction at (2,15,3) and 35 s at (3,6,3)."""
+    for direction in directions:
+        assert _r3_count(p, m, direction) == expected
+    assert (expected - r1) % 3 == 0
 
 
 class TestSixWayEquivalence:
