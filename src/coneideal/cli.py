@@ -92,7 +92,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     shards = _shards(args)
     search, key, points_of = _engine(params)
     if args.count_only:
-        print(search(params, mode="count", shards=shards))
+        with _emit(args) as out:
+            out.write(f"{search(params, mode='count', shards=shards)}\n")
         return 0
     # json.dumps of {"p", "m", "r", key[, "points"]} from cached walk texts
     head = json.dumps({"p": params.p, "m": params.m, "r": params.r, key: []})[:-2]

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import (
-    Callable, Hashable, Iterable, Iterator, Literal, Optional, Sequence, TypeVar
+    Any, Callable, Hashable, Iterable, Iterator, Literal, Optional, Sequence, TypeVar
 )
 
 from .errors import BoundsInverted
@@ -235,6 +235,7 @@ def depth_first(
     mode: Literal["count", "stream"],
     shards: Optional[tuple[int, int]],
     window: Optional[Callable[[int, State], Hashable]] = None,
+    slide: Optional[Callable[[int, Hashable, Walk], Hashable]] = None,
 ):
     """The search shared by both engines: count or stream the leaves of a
     depth-first tree whose levels are 0..last.
@@ -249,23 +250,29 @@ def depth_first(
     4 * total nodes (or the leaves are reached), and only the nodes of that
     level at positions congruent to index modulo total are explored.
 
-    A count given ``window`` is a transfer-matrix sum.  ``window(depth,
-    state)`` must hold all that the keys of the node and of its
-    descendants read of it, so nodes of one level with equal windows have
-    the same number of leaves below them.  From the level the shards start
-    at, the count goes level by level and keeps one node per distinct
-    window with the number of nodes it stands for; its answer is the sum
-    over the last level of that number times the node's count.  Without
-    ``window`` a count visits every node, depth-first.
+    ``window(depth, state)`` must hold all that the node's key reads of
+    it, so nodes of one level with equal windows have the same key.  Given
+    ``slide`` as well, the window must hold all that the keys of the node's
+    descendants read of it, and ``slide(depth, window, w)`` is the window
+    of ``child(depth, state, w)``; nodes of one level with equal windows
+    then have the same number of leaves below them, and a count is a
+    transfer-matrix sum.  From the level the shards start at, it goes level
+    by level and keeps one node per distinct window with the number of
+    nodes it stands for, building a child only for a window new to its
+    level; its answer is the sum over the last level of that number times
+    the node's count.  Any other search visits every node, depth-first.
 
     Memo scope: one call.  The listing and the count are pure functions of
     the key, so the call runs ``choices`` and ``count_of`` once per distinct
     key, in dicts local to the call, and equal walks listed anywhere in the
     search are one object (so a walk's cached hash and JSON text serve them
-    all).  A stream or a count without ``window`` computes the key of every
-    node; a count with it, of one node per window.  The transport memos of
-    :mod:`coneideal.walks` are emptied as the call starts, so no search
-    reuses a value computed by another.
+    all).  Given ``window``, a depth-first search looks up each node's
+    listing, or its count at level ``last``, by (depth, window) and computes
+    the key once per distinct pair; without it, the key of every node.  A
+    merged count computes the key of each node it keeps, which is already
+    one per window.  The transport memos of :mod:`coneideal.walks` are
+    emptied as the call starts, so no search reuses a value computed by
+    another.
     """
     for memo in TRANSPORT_MEMOS:
         memo.cache_clear()
@@ -273,23 +280,41 @@ def depth_first(
     shared: dict[Walk, Walk] = {}
     counts: dict[tuple, int] = {}
 
-    def children(depth: int, state: State) -> Iterator[State]:
+    def listing(depth: int, state: State) -> tuple:
         key = interval(depth, state)
         found = listings.get(key)
         if found is None:
             found = tuple(shared.setdefault(w, w) for w in choices(*key))
             listings[key] = found
-        return (child(depth, state, w) for w in found)
+        return found
 
-    def expand(depth: int, states: Iterable[State]) -> Iterator[State]:
-        return (kid for state in states for kid in children(depth, state))
-
-    def count(state: State) -> int:
-        key = interval(last, state)
+    def count(depth: int, state: State) -> int:
+        key = interval(depth, state)
         found = counts.get(key)
         if found is None:
             found = counts[key] = count_of(*key)
         return found
+
+    def by_window(of: Callable[[int, State], Any]) -> Callable[[int, State], Any]:
+        seen: list[dict] = [{} for _ in range(last + 1)]  # per level: window -> of
+
+        def lookup(depth: int, state: State) -> Any:
+            level, win = seen[depth], window(depth, state)
+            found = level.get(win)
+            if found is None:
+                found = level[win] = of(depth, state)
+            return found
+
+        return lookup
+
+    merge = mode == "count" and slide is not None
+    if window is not None and not merge:
+        listing, count = by_window(listing), by_window(count)
+
+    def expand(depth: int, states: Iterable[State]) -> Iterator[State]:
+        return (
+            child(depth, state, w) for state in states for w in listing(depth, state)
+        )
 
     depth, level = 0, [root]
     if shards is not None:
@@ -300,7 +325,7 @@ def depth_first(
         level = level[index::total]
     if mode == "count" and depth > last:
         return len(level)
-    if mode == "count" and window is not None:
+    if merge:
         # window -> [a node of that window, the number of nodes it stands for]
         merged: dict[Hashable, list] = {}
         for state in level:
@@ -308,17 +333,24 @@ def depth_first(
         for d in range(depth, last):
             below: dict[Hashable, list] = {}
             while merged:  # a level is freed as its children are merged
-                state, times = merged.popitem()[1]
-                for kid in children(d, state):
-                    below.setdefault(window(d + 1, kid), [kid, 0])[1] += times
+                win, (state, times) = merged.popitem()
+                for w in listing(d, state):
+                    kid = slide(d, win, w)
+                    held = below.get(kid)
+                    if held is None:
+                        below[kid] = [child(d, state, w), times]
+                    else:
+                        held[1] += times
             merged = below
-        return sum(times * count(state) for state, times in merged.values())
+        return sum(times * count(last, state) for state, times in merged.values())
     # chained generators walk the tree depth-first; no function refers to
     # itself, so the memos are freed as soon as the search is dropped
     nodes = iter(level)
     for d in range(depth, last if mode == "count" else last + 1):
         nodes = expand(d, nodes)
-    return sum(map(count, nodes)) if mode == "count" else nodes
+    if mode == "count":
+        return sum(count(last, state) for state in nodes)
+    return nodes
 
 
 def enumerate_all_r3(
@@ -332,8 +364,9 @@ def enumerate_all_r3(
     Stream mode yields tuples of walks indexed by z = 0..n.  With
     ``shards = (index, total)`` only one shard of the search tree is
     explored (see :func:`depth_first`).  The bounds of layer i read only
-    the p layers next to it on the assigned side, so a count merges the
-    nodes of a level that agree there (a transfer-matrix sum).
+    the p layers next to it on the assigned side, so a stream lists the
+    layers once per distinct window of those layers, and a count merges
+    the nodes of a level that agree there (a transfer-matrix sum).
     """
     levels = list(range(params.n, -1, -1))
     if direction == "forward":
@@ -356,10 +389,16 @@ def enumerate_all_r3(
             return seq.walks[i + 1 : i + p + 1]
         return seq.walks[max(0, i - p) : i]
 
+    def slide(depth: int, win: tuple[Walk, ...], w: Walk) -> tuple[Walk, ...]:
+        # the window of the child that assigns w to layer i
+        if direction == "backward":
+            return ((w,) + win)[:p]
+        return (win + (w,))[-p:]
+
     root = LayerSequence(params, (None,) * (params.n + 1))
     found = depth_first(
         root, params.n, interval, enumerate_interval, child, count_interval,
-        mode, shards, window,
+        mode, shards, window, slide,
     )
     if mode == "count":
         return found

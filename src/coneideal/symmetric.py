@@ -190,10 +190,13 @@ def enumerate_all_r1(
     A search node is its tuple of shell walks with their cross sections,
     which each child updates by one :func:`_with_shell` step, sharing the
     sections built through one dict that lives as long as the search.
+    The bounds of shell i read only its last p sections, so the search
+    computes them once per distinct window of those; it merges no nodes,
+    so every node still builds and checks all its sections.
     Stream mode yields the tuples of shell walks (W_0, ..., W_n);
     ``shards`` works as in :func:`coneideal.slicing.depth_first`.
     """
-    n = params.n
+    n, p = params.n, params.p
     built: dict[tuple, Walk] = {}  # this search's sections, see _with_shell
 
     def interval(depth: int, node: tuple) -> tuple[int, Walk, Walk]:
@@ -206,7 +209,17 @@ def enumerate_all_r1(
             sections = _with_shell(sections, w, built)
         return walks + (w,), sections
 
+    def window(depth: int, node: tuple) -> tuple[Walk, ...]:
+        # the sections the forward rule reads; the child's sections are new
+        # in every height, so nodes are looked up by window, never merged
+        return node[1][max(0, depth - p) : depth]
+
     choices = partial(enumerate_layer_sym, params=params)
     count_of = partial(count_layer_sym, params=params)
-    found = depth_first(((), ()), n, interval, choices, child, count_of, mode, shards)
+    # up to depth p a window is all the sections below, so the nodes it
+    # stands for are one ideal: with n <= p no two nodes share a window
+    found = depth_first(
+        ((), ()), n, interval, choices, child, count_of, mode, shards,
+        window if n > p else None,
+    )
     return found if mode == "count" else (walks for walks, _ in found)

@@ -129,6 +129,26 @@ class TestEnumerate:
         assert code == 0 and out == ""
         assert len(target.read_text().splitlines()) == 5
 
+    def test_count_only_emit_to_file(self, capsys, tmp_path):
+        target = tmp_path / "count.txt"
+        code, out, _ = run(
+            capsys,
+            "enumerate", "--p", "2", "--m", "3", "--r", "3", "--count-only",
+            "--emit", str(target),
+        )
+        assert (code, out) == (0, "")
+        assert target.read_text() == "20\n"
+
+    def test_count_only_unwritable_emit_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "count.txt"
+        code, out, err = run(
+            capsys,
+            "enumerate", "--p", "2", "--m", "3", "--r", "3", "--count-only",
+            "--emit", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot write {target}: ")
+
 
 # Canonical streams: (p, m, r, lines, jsonl sha256, points sha256) of
 # `coneideal enumerate` stdout.  Any change to the enumeration order, the walk

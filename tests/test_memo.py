@@ -4,9 +4,11 @@
 A count must equal the length of the matching stream.  Each distinct
 interval key is listed exactly once per stream and each distinct
 last-level key counted exactly once per count; equal listed walks are one
-object.  An r = 1 count still computes the key of every node, while an
-r = 3 count merges the nodes of a level that share their window of
-neighbouring layers and computes one key per window.  The memos live
+object.  A key is computed once per distinct (level, window) of what it
+reads: the neighbouring layers for r = 3, the last p cross sections for
+r = 1.  Streams and r = 1 counts still visit, and for r = 1 build and
+check, every node; an r = 3 count merges the nodes of a level that share
+their window and builds one child per new window.  The memos live
 for one search: answers do not depend on what ran before, every search
 starts with empty transport memos, and no walk a search built (with its
 cached JSON text) outlives it.
@@ -139,32 +141,121 @@ def test_r3_count_counts_each_interval_once(monkeypatch, p, m, direction):
     assert [args for args, _ in counted] == list(dict.fromkeys(keys))
 
 
+def _r3_window(seq, i, direction):
+    """The assigned layers the bounds of layer i read."""
+    p = seq.params.p
+    if direction == "backward":
+        return seq.walks[i + 1 : i + p + 1]
+    return seq.walks[max(0, i - p) : i]
+
+
+def _r3_nodes(monkeypatch, params, direction, mode="stream"):
+    """Run a search and tally its nodes and their distinct windows per
+    layer, from the child step: ``with_layer(i, w)`` builds a node of the
+    next layer, i - 1 or i + 1."""
+    children = []
+    _spy(monkeypatch, slicing.LayerSequence, "with_layer", children)
+    found = enumerate_all_r3(params, mode=mode, direction=direction)
+    if mode == "stream":
+        found = sum(1 for _ in found)
+    root = params.n if direction == "backward" else 0
+    nodes, windows = collections.Counter({root: 1}), collections.defaultdict(set)
+    windows[root].add(())
+    step = -1 if direction == "backward" else 1
+    for (_, i, _), seq in children:
+        if 0 <= i + step <= params.n:
+            nodes[i + step] += 1
+            windows[i + step].add(_r3_window(seq, i + step, direction))
+    monkeypatch.undo()
+    return found, nodes, windows, len(children)
+
+
 @pytest.mark.parametrize("direction", ["backward", "forward"])
 @pytest.mark.parametrize("p,m", R3_INSTANCES)
 def test_r3_count_bounds_once_per_window(monkeypatch, p, m, direction):
     # the bounds of layer i read only the p layers next to it on the
     # assigned side, so the count computes them once per distinct window
     params = Params(p=p, m=m, r=3)
+    stream, nodes, windows, _ = _r3_nodes(monkeypatch, params, direction)
     bounds = []
     _spy(monkeypatch, slicing, f"{direction}_bounds", bounds)
-    stream = sum(
-        1 for _ in enumerate_all_r3(params, mode="stream", direction=direction)
-    )
-    nodes, windows = collections.Counter(), collections.defaultdict(set)
-    for (i, seq, _), _ in bounds:
-        nodes[i] += 1
-        if direction == "backward":
-            windows[i].add(seq.walks[i + 1 : i + p + 1])
-        else:
-            windows[i].add(seq.walks[max(0, i - p) : i])
-    bounds.clear()
     assert enumerate_all_r3(params, mode="count", direction=direction) == stream
     calls = collections.Counter(i for (i, _, _), _ in bounds)
-    assert calls == {i: len(found) for i, found in windows.items()}
+    assert calls == {i: len(held) for i, held in windows.items()}
     # at p = 3, n = 2 a window is the whole assigned stack: nothing merges
     last = 0 if direction == "backward" else params.n
     merged = {(2, 9): (735, 6237), (3, 3): (175, 175)}[p, m]
     assert (calls[last], nodes[last]) == merged
+
+
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+@pytest.mark.parametrize("p,m", R3_INSTANCES)
+def test_r3_stream_bounds_once_per_window(monkeypatch, p, m, direction):
+    # a stream visits every node but looks its listing up by window
+    params = Params(p=p, m=m, r=3)
+    stream, nodes, windows, _ = _r3_nodes(monkeypatch, params, direction)
+    bounds = []
+    _spy(monkeypatch, slicing, f"{direction}_bounds", bounds)
+    found = enumerate_all_r3(params, mode="stream", direction=direction)
+    assert sum(1 for _ in found) == stream
+    calls = collections.Counter(i for (i, _, _), _ in bounds)
+    assert calls == {i: len(held) for i, held in windows.items()}
+    # the nodes above the leaves; at p = 3, n = 2 each is its own window
+    visited = {(2, 9): (1526, 7028), (3, 3): (196, 196)}[p, m]
+    assert (sum(calls.values()), sum(nodes.values())) == visited
+
+
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+def test_r3_count_builds_a_child_per_new_window(monkeypatch, direction):
+    # the merged count slides the parent's window by the listed walk and
+    # builds a child only for a window new to its level: every with_layer
+    # call is one distinct (layer, window), not one per child (157 806)
+    params = Params(p=2, m=12, r=3)
+    found, nodes, windows, calls = _r3_nodes(monkeypatch, params, direction, "count")
+    assert found == 8657670
+    assert calls + 1 == sum(nodes.values()) == sum(map(len, windows.values()))
+    assert calls == 13574
+
+
+def _r1_nodes(monkeypatch, params, mode):
+    """Run a search and tally its bounds calls, its section steps and the
+    distinct (depth, window) pairs of the nodes the steps built."""
+    p = params.p
+    bounds, steps = [], []
+    _spy(monkeypatch, symmetric, "symmetric_bounds", bounds)
+    _spy(monkeypatch, symmetric, "_with_shell", steps)
+    found = enumerate_all_r1(params, mode=mode)
+    if mode == "stream":
+        found = sum(1 for _ in found)
+    windows = {(0, ())} | {
+        (len(cum), cum[max(0, len(cum) - p) :]) for _, cum in steps
+    }
+    monkeypatch.undo()
+    return found, bounds, len(steps), windows
+
+
+@pytest.mark.parametrize("p,m", R1_INSTANCES)
+def test_r1_stream_bounds_once_per_window(monkeypatch, p, m):
+    params = Params(p=p, m=m, r=1)
+    count = enumerate_all_r1(params, mode="count")
+    found, bounds, steps, windows = _r1_nodes(monkeypatch, params, "stream")
+    assert found == count
+    keys = [(i, tuple(cum[max(0, i - p) :])) for (i, cum, _), _ in bounds]
+    assert len(keys) == len(set(keys)) <= steps + 1
+    assert set(keys) == windows
+    # with n <= p a window is all the sections below: nothing to share
+    assert (len(keys) < steps + 1) == (p < params.n)
+
+
+def test_r1_count_bounds_once_per_window(monkeypatch):
+    # (3,9,1): the count looks up every node's listing, and at the last
+    # level its count, by window, yet builds the sections of all 20 765
+    # nodes but the root
+    params = Params(p=3, m=9, r=1)
+    found, bounds, steps, windows = _r1_nodes(monkeypatch, params, "count")
+    assert found == 479444  # the known-wrong pin of ROADMAP item 1
+    assert (len(bounds), steps) == (16511, 20764)
+    assert len(windows) == len(bounds)
 
 
 def test_each_search_starts_with_empty_memos(monkeypatch):

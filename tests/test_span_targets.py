@@ -1,10 +1,12 @@
 """The benchmark's span targets (``perfbench/spans.py``) still name live
 functions of the package, so a rename shows here and not only when the
-benchmark runs."""
+benchmark runs; and, marked ``slow``, the benchmark's own self-check."""
 
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,14 @@ def test_target_resolves(module, qual, kind):
     assert callable(fn)
     if kind == "gen":
         assert inspect.isgeneratorfunction(fn), qual
+
+
+@pytest.mark.slow
+def test_benchmark_selftest_passes():
+    # every workload's toy run, traced and untraced, and its result line
+    root = SPANS.parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "selftest.py")],
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -107,34 +107,51 @@ class TestAccumulate:
     @pytest.mark.parametrize("p,m", [(2, 6), (2, 9), (3, 3), (5, 3)])
     @pytest.mark.parametrize("mode", ["count", "stream"])
     def test_search_carries_point_set_sections(self, monkeypatch, p, m, mode):
-        # every node's bounds read the sections of that node's own shells,
-        # and the per-shell step runs once per node below the root, never
-        # for a leaf
+        # every node's sections, as the per-shell step leaves them, are the
+        # sections of that node's own shells; the step runs once per node
+        # below the root, never for a leaf; the bounds read the sections of
+        # the node they are computed at, once per distinct (depth, window)
+        # of the last p sections
         params = Params(p=p, m=m, r=1)
         total = enumerate_all_r1(params, mode="count")
         real_first, real_bounds = symmetric.depth_first, symmetric.symmetric_bounds
         real_step = symmetric._with_shell
         node_shells = []
-        checked = [0, 0]
+        windows = {(0, ())}
+        bounds_calls, checked, steps = 0, 0, 0
 
-        def first(root, last, interval, *rest):
-            def spied(depth, node):
+        def sections_of(shells):
+            i = len(shells)
+            seq = SymLayerSequence(params, shells)
+            return [walk_of(s, p) for s in accumulate_layers(seq, i)] if i else []
+
+        def first(root, last, interval, choices, child, *rest):
+            def spied_interval(depth, node):
                 node_shells.append(node[0])
                 return interval(depth, node)
 
-            return real_first(root, last, spied, *rest)
+            def spied_child(depth, node, w):
+                nonlocal checked
+                kid = shells, sections = child(depth, node, w)
+                if depth < params.n:
+                    assert list(sections) == sections_of(shells), [w.hs for w in shells]
+                    checked += 1
+                    windows.add((depth + 1, sections[max(0, depth + 1 - p) :]))
+                return kid
+
+            return real_first(root, last, spied_interval, choices, spied_child, *rest)
 
         def bounds(i, cum, params):
+            nonlocal bounds_calls
             shells = node_shells.pop()
-            seq = SymLayerSequence(params, shells)
             assert len(shells) == i
-            expected = [walk_of(s, p) for s in accumulate_layers(seq, i)] if i else []
-            assert list(cum) == expected, [w.hs for w in shells]
-            checked[0] += 1
+            assert list(cum) == sections_of(shells), [w.hs for w in shells]
+            bounds_calls += 1
             return real_bounds(i, cum, params)
 
         def step(sections, w, built):
-            checked[1] += 1
+            nonlocal steps
+            steps += 1
             return real_step(sections, w, built)
 
         monkeypatch.setattr(symmetric, "depth_first", first)
@@ -144,7 +161,8 @@ class TestAccumulate:
         if mode == "stream":
             found = sum(1 for _ in found)
         assert found == total > 1
-        assert checked[0] > params.n and checked[1] == checked[0] - 1
+        assert steps == checked > params.n
+        assert bounds_calls == len(windows)
 
 
 class TestSymmetricBounds:
