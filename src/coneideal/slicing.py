@@ -234,7 +234,7 @@ def depth_first(
     count_of: Callable[..., int],
     mode: Literal["count", "stream"],
     shards: Optional[tuple[int, int]],
-    window: Optional[Callable[[int, State], Hashable]] = None,
+    window: Callable[[int, State], Hashable],
     slide: Optional[Callable[[int, Hashable, Walk], Hashable]] = None,
 ):
     """The search shared by both engines: count or stream the leaves of a
@@ -266,13 +266,12 @@ def depth_first(
     the key, so the call runs ``choices`` and ``count_of`` once per distinct
     key, in dicts local to the call, and equal walks listed anywhere in the
     search are one object (so a walk's cached hash and JSON text serve them
-    all).  Given ``window``, a depth-first search looks up each node's
-    listing, or its count at level ``last``, by (depth, window) and computes
-    the key once per distinct pair; without it, the key of every node.  A
-    merged count computes the key of each node it keeps, which is already
-    one per window.  The transport memos of :mod:`coneideal.walks` are
-    emptied as the call starts, so no search reuses a value computed by
-    another.
+    all).  A depth-first search looks up each node's listing, or its count
+    at level ``last``, by (depth, window) and computes the key once per
+    distinct pair.  A merged count computes the key of each node it keeps,
+    which is already one per window.  The transport memos of
+    :mod:`coneideal.walks` are emptied as the call starts, so no search
+    reuses a value computed by another.
     """
     for memo in TRANSPORT_MEMOS:
         memo.cache_clear()
@@ -308,7 +307,7 @@ def depth_first(
         return lookup
 
     merge = mode == "count" and slide is not None
-    if window is not None and not merge:
+    if not merge:
         listing, count = by_window(listing), by_window(count)
 
     def expand(depth: int, states: Iterable[State]) -> Iterator[State]:

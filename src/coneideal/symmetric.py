@@ -216,10 +216,7 @@ def enumerate_all_r1(
 
     choices = partial(enumerate_layer_sym, params=params)
     count_of = partial(count_layer_sym, params=params)
-    # up to depth p a window is all the sections below, so the nodes it
-    # stands for are one ideal: with n <= p no two nodes share a window
     found = depth_first(
-        ((), ()), n, interval, choices, child, count_of, mode, shards,
-        window if n > p else None,
+        ((), ()), n, interval, choices, child, count_of, mode, shards, window
     )
     return found if mode == "count" else (walks for walks, _ in found)
