@@ -1,7 +1,8 @@
 """Command-line surface: enumerate, defining-set, verify and render.
 
 Exit codes: 0 success, 2 invalid parameters or unparseable input, 3 size cap
-exceeded, 4 input set is not an invariant ideal, 5 verification failure.
+exceeded, 4 input set is not an invariant ideal, 5 verification failure,
+141 stdout closed by its reader (as ``| head``) before the output ended.
 All diagnostics go to stderr; machine output (JSONL, counts, listings,
 drawings) goes to stdout or the --emit path.
 """
@@ -10,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from functools import cache
-from typing import Callable, Iterator, Optional, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from .codes import (
     DEFAULT_SCAN_CAP,
@@ -36,6 +38,7 @@ EXIT_BAD_PARAMS = 2
 EXIT_CAP = 3
 EXIT_NOT_IDEAL = 4
 EXIT_VERIFY_FAILED = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a process killed by it
 
 
 class _CliError(Exception):
@@ -87,6 +90,30 @@ def _engine(params: Params) -> tuple[Callable, str, Callable]:
     return enumerate_all_r1, "sym_layers", shell_points
 
 
+def points_renderer(n: int, points_of: Callable) -> Callable[[Sequence], str]:
+    """For one stream over the box {0..n}^3: the function that gives the
+    JSON text of a stack's sorted point list, the text of
+    ``json.dumps(sorted(stack_points(walks, points_of)))``.
+
+    Point (x, y, z) is coded as the integer (x*N + y)*N + z with N = n + 1,
+    the index of its text in a table built here, so the codes sort in the
+    order of the tuples.  Each distinct (index, walk) layer is turned into
+    codes once, and a line joins the table texts of its sorted codes."""
+    size = n + 1
+    side = range(size)
+    texts = [f"[{x}, {y}, {z}]" for x in side for y in side for z in side]
+
+    @cache
+    def codes(j: int, w) -> frozenset[int]:
+        return frozenset([(x * size + y) * size + z for x, y, z in points_of(j, w)])
+
+    def render(walks: Sequence) -> str:
+        union = frozenset().union(*map(codes, range(len(walks)), walks))
+        return "[" + ", ".join([texts[c] for c in sorted(union)]) + "]"
+
+    return render
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     params = _params(args)
     shards = _shards(args)
@@ -97,13 +124,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return 0
     # json.dumps of {"p", "m", "r", key[, "points"]} from cached walk texts
     head = json.dumps({"p": params.p, "m": params.m, "r": params.r, key: []})[:-2]
-    points = args.format == "points"
-    layer = cache(points_of)  # each distinct (index, walk) layer built once per stream
+    points = points_renderer(params.n, points_of) if args.format == "points" else None
     with _emit(args) as out:
         for walks in search(params, mode="stream", shards=shards):
             line = head + ", ".join([w.json_text for w in walks]) + "]"
             if points:
-                line += ', "points": ' + json.dumps(sorted(stack_points(walks, layer)))
+                line += ', "points": ' + points(walks)
             out.write(line + "}\n")
     return 0
 
@@ -148,7 +174,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ideals = [_load_invariant_ideal(args.ideal, params)]
     else:
         search, _, points_of = _engine(params)
-        ideals = (stack_points(ws, points_of) for ws in search(params, mode="stream"))
+        layer = cache(points_of)  # each distinct (index, walk) layer built once
+        ideals = (stack_points(ws, layer) for ws in search(params, mode="stream"))
     try:
         gens = agl_generators(params, cap_field=args.cap_field)
     except CapExceeded as exc:
@@ -237,7 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at devnull so that the
+        # flush at exit cannot raise again (the note on SIGPIPE in the
+        # ``signal`` module docs), and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _CliError as exc:
         return _fail(exc.code, str(exc))
     except CapExceeded as exc:

@@ -1,19 +1,29 @@
 """Command-line surface: outputs, exit codes, sharding, round trips."""
 
 import hashlib
+import itertools
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from coneideal import cli
-from coneideal.cli import _engine, main
+from coneideal.cli import EXIT_BROKEN_PIPE, _engine, main, points_renderer
 from coneideal.oracle import layer_counts
 from coneideal.render import ascii_layers, svg_cubes
 from coneideal.order import Params, rotate
-from coneideal.slicing import layers_to_points
-from coneideal.symmetric import SymLayerSequence, assembled_points
+from coneideal.slicing import layer_points, layers_to_points, square_host, stack_points
+from coneideal.symmetric import (
+    SymLayerSequence,
+    assembled_points,
+    enumerate_all_r1,
+    shell_points,
+)
+from coneideal.walks import full_walk
 
 from conftest import EXAMPLE_DEFINING, EXAMPLE_IDEAL
 
@@ -208,7 +218,10 @@ def test_canonical_stream(capsys, p, m, r, lines, jsonl_sha, points_sha, fmt):
 # (p, m, r, shards) streams whose assembled lines are compared with the
 # dict records the stream encodes; the canonical sha256s above cover only
 # unsharded streams.
-RECORD_STREAMS = [(2, 6, 1, None), (3, 3, 3, None), (5, 3, 1, None), (2, 9, 3, (1, 4))]
+RECORD_STREAMS = [
+    (2, 6, 1, None), (3, 3, 3, None), (5, 3, 1, None), (2, 9, 3, (1, 4)),
+    (3, 6, 1, (1, 4)),
+]
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "points"])
@@ -237,6 +250,43 @@ def test_lines_equal_encoded_records(capsys, p, m, r, shards, fmt):
         expected.append(json.dumps(rec))
     assert out.splitlines() == expected
     assert out.endswith("\n")
+
+
+# The canonical streams have n <= 4, so they see only one-digit coordinates.
+def test_points_text_two_digit_coordinates_r1():
+    params = Params(p=11, m=3, r=1)  # n = 10
+    render = points_renderer(params.n, shell_points)
+    stacks = list(itertools.islice(enumerate_all_r1(params, mode="stream"), 30))
+    assert len(stacks) == 30
+    for walks in stacks:
+        assert render(walks) == json.dumps(sorted(stack_points(walks, shell_points)))
+
+
+def test_points_text_every_box_point():
+    params = Params(p=11, m=3, r=3)  # n = 10
+    full = full_walk(square_host(params.n), params.p)
+    walks = (full,) * (params.n + 1)
+    expected = json.dumps(sorted(stack_points(walks, layer_points)))
+    assert len(json.loads(expected)) == 11 ** 3
+    assert points_renderer(params.n, layer_points)(walks) == expected
+
+
+def test_reader_closing_the_pipe_exits_quietly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coneideal.cli",
+         "enumerate", "--p", "2", "--m", "9", "--r", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b'{"p": 2, "m": 9, "r": 3, ')
+    proc.stdout.close()  # the stream is far longer than a pipe buffer
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["enumerate", "defining-set", "render"])
@@ -359,6 +409,18 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 494
         assert "494/494 PASS" in err
+
+    def test_streamed_layers_built_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(j, w):
+            calls.append((j, w))
+            return shell_points(j, w)
+
+        monkeypatch.setattr(cli, "shell_points", counted)
+        code, out, _ = run(capsys, "verify", "--p", "3", "--m", "3", "--r", "1")
+        assert code == 0 and out.count("PASS") == 20
+        assert len(calls) == len(set(calls)) < 20 * 3
 
     def test_cap_exit_3(self, capsys):
         code, _, err = run(
