@@ -51,7 +51,7 @@ from .errors import (
 )
 from .fields import SmallField
 from .order import Params, Point2, Point3, precedes2, precedes3, rotate
-from .slicing import LayerSequence, layer_host, nonempty_lookahead, nonfull_lookback
+from .slicing import LayerSequence, nonempty_lookahead, nonfull_lookback, square_host
 from .symmetric import SymLayerSequence, accumulated_walks
 from .walks import (
     IdealSet2,
@@ -383,20 +383,20 @@ def is_consistent_backward(i: int, candidate: Walk, seq: LayerSequence) -> bool:
     """Direct four-condition test that candidate fits below layers i+1..n."""
     params = seq.params
     p, n = params.p, params.n
-    u = layer_host(params)
+    u = square_host(params.n)
     if i >= n:
         return True
-    if not walk_leq(seq.walk(i + 1), candidate):
+    if not walk_leq(seq.walks[i + 1], candidate):
         return False
-    if not walk_leq(ideal_transport(candidate, 0, -p, u), seq.walk(i + 1)):
+    if not walk_leq(ideal_transport(candidate, 0, -p, u), seq.walks[i + 1]):
         return False
     if i + p <= n and not walk_leq(
-        ideal_transport(seq.walk(i + p), 1, 0, u), candidate
+        ideal_transport(seq.walks[i + p], 1, 0, u), candidate
     ):
         return False
     t = nonempty_lookahead(i, seq)
     if t is not None and not walk_leq(
-        ideal_transport(seq.walk(i + t), 1, -p * p + p * t, u), candidate
+        ideal_transport(seq.walks[i + t], 1, -p * p + p * t, u), candidate
     ):
         return False
     return True
@@ -406,20 +406,20 @@ def is_consistent_forward(i: int, candidate: Walk, seq: LayerSequence) -> bool:
     """Direct four-condition test that candidate fits above layers 0..i-1."""
     params = seq.params
     p = params.p
-    u = layer_host(params)
+    u = square_host(params.n)
     if i <= 0:
         return True
-    if not walk_leq(candidate, seq.walk(i - 1)):
+    if not walk_leq(candidate, seq.walks[i - 1]):
         return False
-    if not walk_leq(ideal_transport(seq.walk(i - 1), 0, -p, u), candidate):
+    if not walk_leq(ideal_transport(seq.walks[i - 1], 0, -p, u), candidate):
         return False
     if i - p >= 0 and not walk_leq(
-        ideal_transport(candidate, 1, 0, u), seq.walk(i - p)
+        ideal_transport(candidate, 1, 0, u), seq.walks[i - p]
     ):
         return False
     t = nonfull_lookback(i, seq.walks, p)
     if t is not None and not walk_leq(
-        ideal_transport(candidate, 1, -p * p + p * t, u), seq.walk(i - t)
+        ideal_transport(candidate, 1, -p * p + p * t, u), seq.walks[i - t]
     ):
         return False
     return True

@@ -24,7 +24,7 @@ makes the output stream canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import (
     Any, Callable, Hashable, Iterable, Iterator, Literal, Optional, Sequence, TypeVar
 )
@@ -56,22 +56,16 @@ def square_host(n: int) -> Rect:
     return Rect(0, n, 0, n)
 
 
-def layer_host(params: Params) -> Rect:
-    return square_host(params.n)
-
-
 @dataclass(slots=True)
 class LayerSequence:
     """Partial assignment of layer walks, built from one end of the stack:
     the search keeps n + 1 slots, None while unassigned; the bounds only
-    index ``walks``, so a dict of the assigned layers serves them too.  An
-    r = 3 count holds a whole level of these, so they carry no __dict__."""
+    index ``walks``, so a dict of the assigned layers serves them too.  A
+    search builds one per streamed node and one view per window, so they
+    carry no __dict__."""
 
     params: Params
     walks: tuple[Optional[Walk], ...] | dict[int, Walk] = field(default_factory=dict)
-
-    def walk(self, i: int) -> Walk:
-        return self.walks[i]
 
     def with_layer(self, i: int, w: Walk) -> "LayerSequence":
         return LayerSequence(self.params, self.walks[:i] + (w,) + self.walks[i + 1 :])
@@ -97,18 +91,17 @@ def nonfull_lookback(i: int, below: Sequence[Walk], p: int) -> Optional[int]:
 def backward_bounds(i: int, seq: LayerSequence, params: Params) -> tuple[Walk, Walk]:
     """Walk interval for layer i given backward-consistent layers i+1..n."""
     p, n = params.p, params.n
-    u = layer_host(params)
+    u = square_host(n)
+    walks = seq.walks
     if i >= n:
         return empty_walk(u, p), full_walk(u, p)
-    lower_terms = [seq.walk(i + 1)]
+    lower_terms = [walks[i + 1]]
     if i + p <= n:
-        lower_terms.append(ideal_transport(seq.walk(i + p), 1, 0, u))
+        lower_terms.append(ideal_transport(walks[i + p], 1, 0, u))
     t = nonempty_lookahead(i, seq)
     if t is not None:
-        lower_terms.append(
-            ideal_transport(seq.walk(i + t), 1, -p * p + p * t, u)
-        )
-    upper = transport_upper_bound(seq.walk(i + 1), 0, -p, u)
+        lower_terms.append(ideal_transport(walks[i + t], 1, -p * p + p * t, u))
+    upper = transport_upper_bound(walks[i + 1], 0, -p, u)
     return join_all(lower_terms), upper
 
 
@@ -138,7 +131,7 @@ def forward_interval(
 
 def forward_bounds(i: int, seq: LayerSequence, params: Params) -> tuple[Walk, Walk]:
     """Walk interval for layer i given forward-consistent layers 0..i-1."""
-    return forward_interval(i, seq.walks, layer_host(params), params.p)
+    return forward_interval(i, seq.walks, square_host(params.n), params.p)
 
 
 def _profile_choices(
@@ -228,7 +221,7 @@ State = TypeVar("State")
 def depth_first(
     root: State,
     last: int,
-    interval: Callable[[int, State], tuple],
+    interval: Callable[[int, Hashable], tuple],
     choices: Callable[..., Iterable[Walk]],
     child: Callable[[int, State, Walk], State],
     count_of: Callable[..., int],
@@ -240,75 +233,64 @@ def depth_first(
     """The search shared by both engines: count or stream the leaves of a
     depth-first tree whose levels are 0..last.
 
-    Each node at a level computes the key ``interval(depth, state)`` of its
-    choices; ``choices(*key)`` lists them in stream order, and the node's
+    A node at a level has the window ``window(depth, state)`` and the key
+    ``interval(depth, window)`` of its choices: the key sees the window,
+    never the node, so nodes of one level with equal windows have the same
+    key.  Each engine reads the window through a view of a node whose other
+    slots are None, so bounds that read past a window raise.
+    ``choices(*key)`` lists a node's choices in stream order, and its
     children are ``child(depth, state, w)`` for each listed w.  A stream
     yields the states reached below level ``last``.  A count stops one
     level early: ``count_of(*key)`` counts the choices of a node at level
-    ``last`` without listing them.  With ``shards = (index, total)``
-    the tree is first expanded breadth-first until a level holds at least
+    ``last`` without listing them.  With ``shards = (index, total)`` the
+    tree is first expanded breadth-first until a level holds at least
     4 * total nodes (or the leaves are reached), and only the nodes of that
     level at positions congruent to index modulo total are explored.
 
-    ``window(depth, state)`` must hold all that the node's key reads of
-    it, so nodes of one level with equal windows have the same key.  Given
-    ``slide`` as well, the window must hold all that the keys of the node's
-    descendants read of it, and ``slide(depth, window, w)`` is the window
-    of ``child(depth, state, w)``; nodes of one level with equal windows
-    then have the same number of leaves below them, and a count is a
-    transfer-matrix sum.  From the level the shards start at, it goes level
-    by level and keeps one node per distinct window with the number of
-    nodes it stands for, building a child only for a window new to its
-    level; its answer is the sum over the last level of that number times
-    the node's count.  Any other search visits every node, depth-first.
+    Given ``slide`` as well, ``slide(depth, window, w)`` is the window of
+    ``child(depth, state, w)``; nodes of one level with equal windows then
+    have the same number of leaves below them, and a count is a
+    transfer-matrix sum.  From the level the shards start at, it carries
+    only the number of nodes that have each window and moves it from level
+    to level with ``slide``, building no node; its answer is the sum over
+    the last level of that number times the window's count.  Any other
+    search visits every node, depth-first.
 
     Memo scope: one call.  The listing and the count are pure functions of
     the key, so the call runs ``choices`` and ``count_of`` once per distinct
-    key, in dicts local to the call, and equal walks listed anywhere in the
-    search are one object (so a walk's cached hash and JSON text serve them
-    all).  A depth-first search looks up each node's listing, or its count
-    at level ``last``, by (depth, window) and computes the key once per
-    distinct pair.  A merged count computes the key of each node it keeps,
-    which is already one per window.  The transport memos of
-    :mod:`coneideal.walks` are emptied as the call starts, so no search
-    reuses a value computed by another.
+    key, and equal walks listed anywhere in the search are one object (so
+    a walk's cached hash and JSON text serve them all).  A depth-first
+    search looks up each node's listing, or its count at level ``last``, in
+    one dict per level keyed on the window, so it computes the key once per
+    distinct (depth, window); a merged count meets each window once.  The
+    transport memos of :mod:`coneideal.walks` are emptied as the call
+    starts, so no search reuses a value computed by another.
     """
     for memo in TRANSPORT_MEMOS:
         memo.cache_clear()
-    listings: dict[tuple, tuple] = {}
     shared: dict[Walk, Walk] = {}
-    counts: dict[tuple, int] = {}
 
-    def listing(depth: int, state: State) -> tuple:
-        key = interval(depth, state)
-        found = listings.get(key)
-        if found is None:
-            found = tuple(shared.setdefault(w, w) for w in choices(*key))
-            listings[key] = found
-        return found
+    @cache
+    def listed(key: tuple) -> tuple:
+        return tuple(shared.setdefault(w, w) for w in choices(*key))
 
-    def count(depth: int, state: State) -> int:
-        key = interval(depth, state)
-        found = counts.get(key)
-        if found is None:
-            found = counts[key] = count_of(*key)
-        return found
+    @cache
+    def counted(key: tuple) -> int:
+        return count_of(*key)
 
-    def by_window(of: Callable[[int, State], Any]) -> Callable[[int, State], Any]:
+    def by_window(of: Callable[[tuple], Any]) -> Callable[[int, State], Any]:
         seen: list[dict] = [{} for _ in range(last + 1)]  # per level: window -> of
 
         def lookup(depth: int, state: State) -> Any:
             level, win = seen[depth], window(depth, state)
             found = level.get(win)
             if found is None:
-                found = level[win] = of(depth, state)
+                found = level[win] = of(interval(depth, win))
             return found
 
         return lookup
 
-    merge = mode == "count" and slide is not None
-    if not merge:
-        listing, count = by_window(listing), by_window(count)
+    listing = by_window(listed)
 
     def expand(depth: int, states: Iterable[State]) -> Iterator[State]:
         return (
@@ -324,30 +306,29 @@ def depth_first(
         level = level[index::total]
     if mode == "count" and depth > last:
         return len(level)
-    if merge:
-        # window -> [a node of that window, the number of nodes it stands for]
-        merged: dict[Hashable, list] = {}
+    if mode == "count" and slide is not None:
+        merged: dict[Hashable, int] = {}  # window -> the nodes that have it
         for state in level:
-            merged.setdefault(window(depth, state), [state, 0])[1] += 1
+            win = window(depth, state)
+            merged[win] = merged.get(win, 0) + 1
         for d in range(depth, last):
-            below: dict[Hashable, list] = {}
-            while merged:  # a level is freed as its children are merged
-                win, (state, times) = merged.popitem()
-                for w in listing(d, state):
+            below: dict[Hashable, int] = {}
+            while merged:  # a level is freed as its windows slide
+                win, times = merged.popitem()
+                for w in listed(interval(d, win)):
                     kid = slide(d, win, w)
-                    held = below.get(kid)
-                    if held is None:
-                        below[kid] = [child(d, state, w), times]
-                    else:
-                        held[1] += times
+                    below[kid] = below.get(kid, 0) + times
             merged = below
-        return sum(times * count(last, state) for state, times in merged.values())
+        return sum(
+            times * counted(interval(last, win)) for win, times in merged.items()
+        )
     # chained generators walk the tree depth-first; no function refers to
     # itself, so the memos are freed as soon as the search is dropped
     nodes = iter(level)
     for d in range(depth, last if mode == "count" else last + 1):
         nodes = expand(d, nodes)
     if mode == "count":
+        count = by_window(counted)
         return sum(count(last, state) for state in nodes)
     return nodes
 
@@ -364,16 +345,20 @@ def enumerate_all_r3(
     ``shards = (index, total)`` only one shard of the search tree is
     explored (see :func:`depth_first`).  The bounds of layer i read only
     the p layers next to it on the assigned side, so a stream lists the
-    layers once per distinct window of those layers, and a count merges
-    the nodes of a level that agree there (a transfer-matrix sum).
+    layers once per distinct window of those layers, and a count carries
+    only the number of nodes of a level that have each window (a
+    transfer-matrix sum).
     """
     levels = list(range(params.n, -1, -1))
     if direction == "forward":
         levels.reverse()
     bounds = backward_bounds if direction == "backward" else forward_bounds
 
-    def interval(depth: int, seq: LayerSequence) -> tuple[Walk, Walk]:
-        return bounds(levels[depth], seq, params)
+    def interval(depth: int, win: tuple[Walk, ...]) -> tuple[Walk, Walk]:
+        # the window's layers in their slots, every other slot None
+        i = levels[depth]
+        start = i + 1 if direction == "backward" else i - len(win)
+        return bounds(i, LayerSequence(params, (None,) * start + win), params)
 
     def child(depth: int, seq: LayerSequence, w: Walk) -> LayerSequence:
         return seq.with_layer(levels[depth], w)

@@ -199,8 +199,9 @@ def enumerate_all_r1(
     n, p = params.n, params.p
     built: dict[tuple, Walk] = {}  # this search's sections, see _with_shell
 
-    def interval(depth: int, node: tuple) -> tuple[int, Walk, Walk]:
-        return (depth, *symmetric_bounds(depth, node[1], params))
+    def interval(depth: int, win: tuple[Walk, ...]) -> tuple[int, Walk, Walk]:
+        cum = (None,) * (depth - len(win)) + win  # the sections below it: None
+        return (depth, *symmetric_bounds(depth, cum, params))
 
     def child(depth: int, node: tuple, w: Walk) -> tuple:
         walks, sections = node

@@ -331,8 +331,8 @@ def test_criterion_8_reference_replays(announce):
             lo, hi = backward_bounds(i, seq_b, params_b)
             assert lo.points == BACKWARD_X[i]
             assert hi.points == BACKWARD_Y[i]
-            assert walk_leq(lo, seq_b.walk(i)) and walk_leq(seq_b.walk(i), hi)
-            assert is_consistent_backward(i, seq_b.walk(i), seq_b)
+            assert walk_leq(lo, seq_b.walks[i]) and walk_leq(seq_b.walks[i], hi)
+            assert is_consistent_backward(i, seq_b.walks[i], seq_b)
         # forward run, p=3, n=6
         params_f = Params(p=3, m=9, r=3)
         seq_f = LayerSequence(params_f, forward_walks())
@@ -342,8 +342,8 @@ def test_criterion_8_reference_replays(announce):
                 assert lo.points == FORWARD_X[i]
             if i in FORWARD_Y:
                 assert hi.points == FORWARD_Y[i]
-            assert walk_leq(lo, seq_f.walk(i)) and walk_leq(seq_f.walk(i), hi)
-            assert is_consistent_forward(i, seq_f.walk(i), seq_f)
+            assert walk_leq(lo, seq_f.walks[i]) and walk_leq(seq_f.walks[i], hi)
+            assert is_consistent_forward(i, seq_f.walks[i], seq_f)
         # symmetric run, p=3, n=6, including the printed textual labels
         params_s = Params(p=3, m=9, r=1)
         walks = symmetric_walks()

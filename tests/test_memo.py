@@ -4,18 +4,19 @@
 A count must equal the length of the matching stream.  Each distinct
 interval key is listed exactly once per stream and each distinct
 last-level key counted exactly once per count; equal listed walks are one
-object.  A key is computed once per distinct (level, window) of what it
-reads: the neighbouring layers for r = 3, the last p cross sections for
-r = 1.  Streams and r = 1 counts still visit, and for r = 1 build and
-check, every node; an r = 3 count merges the nodes of a level that share
-their window and builds one child per new window.  The memos live
-for one search: answers do not depend on what ran before, every search
-starts with empty transport memos, and no walk a search built (with its
-cached JSON text) outlives it.
+object.  A key is a function of a node's window alone (the neighbouring
+layers for r = 3, the last p cross sections for r = 1) and is computed
+once per distinct (level, window).  Streams and r = 1 counts still visit,
+and for r = 1 build and check, every node; an r = 3 count carries only
+the number of nodes of each window and builds no node below the levels a
+sharded search expands.  The memos live for one search: answers do not
+depend on what ran before, every search starts with empty transport
+memos, and no walk a search built (with its cached JSON text) outlives it.
 """
 
 import collections
 import weakref
+from functools import partial
 
 import pytest
 
@@ -206,15 +207,73 @@ def test_r3_stream_bounds_once_per_window(monkeypatch, p, m, direction):
 
 
 @pytest.mark.parametrize("direction", ["backward", "forward"])
-def test_r3_count_builds_a_child_per_new_window(monkeypatch, direction):
-    # the merged count slides the parent's window by the listed walk and
-    # builds a child only for a window new to its level: every with_layer
-    # call is one distinct (layer, window), not one per child (157 806)
+def test_r3_count_builds_no_nodes(monkeypatch, direction):
+    # the merged count carries window -> multiplicity and moves it with the
+    # slide alone: no child is built for any of the 157 806 children
     params = Params(p=2, m=12, r=3)
-    found, nodes, windows, calls = _r3_nodes(monkeypatch, params, direction, "count")
-    assert found == 8657670
-    assert calls + 1 == sum(nodes.values()) == sum(map(len, windows.values()))
-    assert calls == 13574
+    found, _, _, calls = _r3_nodes(monkeypatch, params, direction, "count")
+    assert (found, calls) == (8657670, 0)
+    # a sharded count builds the nodes of the breadth-first expansion, each
+    # level whole, up to the first level of at least 4 * total nodes
+    params = Params(p=2, m=9, r=3)
+    _, nodes, _, _ = _r3_nodes(monkeypatch, params, direction)
+    step = -1 if direction == "backward" else 1
+    counts, built = [], collections.Counter()
+    for index in range(4):
+        kids = []
+        _spy(monkeypatch, slicing.LayerSequence, "with_layer", kids)
+        counts.append(enumerate_all_r3(params, "count", direction, shards=(index, 4)))
+        monkeypatch.undo()
+        built.update(i + step for (_, i, _), _ in kids)
+    assert sum(counts) == 38562
+    root = params.n if direction == "backward" else 0
+    levels = [root + step * k for k in range(1, 1 + len(built))]
+    assert sorted(built) == sorted(levels)
+    assert all(built[i] == 4 * nodes[i] for i in levels)
+    assert [nodes[i] >= 16 for i in levels] == [False] * (len(levels) - 1) + [True]
+
+
+def _short_windows(monkeypatch, module, cut):
+    """Rebind module.depth_first so that every window, and every window a
+    slide makes, is the slice ``cut`` of the engine's: one layer short."""
+    real = module.depth_first
+
+    def first(*args):
+        window, slide = args[8], args[9] if len(args) > 9 else None
+
+        def short_window(depth, state):
+            return window(depth, state)[cut]
+
+        def short_slide(depth, win, w):
+            return slide(depth, win, w)[cut]
+
+        rest = (short_window, short_slide) if slide else (short_window,)
+        return real(*args[:8], *rest)
+
+    monkeypatch.setattr(module, "depth_first", first)
+
+
+@pytest.mark.parametrize(
+    "engine,direction",
+    [("r3", "backward"), ("r3", "forward"), ("r1", None)],
+)
+@pytest.mark.parametrize("mode", ["count", "stream"])
+def test_short_window_raises(monkeypatch, engine, direction, mode):
+    # the bounds see a node only through its window, so a window that
+    # leaves out the layer farthest from the node fails loudly instead of
+    # merging or sharing the keys of nodes that differ there
+    if engine == "r3":
+        # a backward window lists the nearest layer first, a forward one last
+        cut = slice(-1) if direction == "backward" else slice(1, None)
+        _short_windows(monkeypatch, slicing, cut)
+        search = partial(enumerate_all_r3, Params(p=2, m=9, r=3), mode, direction)
+    else:
+        _short_windows(monkeypatch, symmetric, slice(1, None))
+        search = partial(enumerate_all_r1, Params(p=2, m=12, r=1), mode)
+    with pytest.raises((IndexError, AttributeError)):
+        found = search()
+        if mode == "stream":
+            sum(1 for _ in found)
 
 
 def _r1_nodes(monkeypatch, params, mode):

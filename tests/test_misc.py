@@ -10,7 +10,7 @@ from coneideal.oracle import (
     precedes_generic,
 )
 from coneideal.order import Params, precedes3
-from coneideal.slicing import LayerSequence, backward_bounds, layer_host
+from coneideal.slicing import LayerSequence, backward_bounds, square_host
 from coneideal.walks import empty_walk, full_walk
 
 
@@ -35,28 +35,28 @@ class TestVerifiedBounds:
 
     def test_backward_rejects_inconsistent_suffix(self):
         params = Params(p=3, m=12, r=3)
-        u = layer_host(params)
+        u = square_host(params.n)
         walks = {i: empty_walk(u, 3) for i in range(1, 9)}
         walks[8] = full_walk(u, 3)  # full on top of empty: not an ideal
         seq = LayerSequence(params, walks)
         assert not all(
-            is_consistent_backward(i, seq.walk(i), seq) for i in range(1, params.n)
+            is_consistent_backward(i, seq.walks[i], seq) for i in range(1, params.n)
         )
 
     def test_forward_rejects_inconsistent_prefix(self):
         params = Params(p=3, m=12, r=3)
-        u = layer_host(params)
+        u = square_host(params.n)
         walks = {0: empty_walk(u, 3), 1: full_walk(u, 3)}
         seq = LayerSequence(params, walks)
-        assert not is_consistent_forward(1, seq.walk(1), seq)
+        assert not is_consistent_forward(1, seq.walks[1], seq)
 
     def test_verify_accepts_consistent_input(self):
         params = Params(p=3, m=12, r=3)
-        u = layer_host(params)
+        u = square_host(params.n)
         walks = {i: full_walk(u, 3) for i in range(1, 9)}
         seq = LayerSequence(params, walks)
         assert all(
-            is_consistent_backward(i, seq.walk(i), seq) for i in range(1, params.n)
+            is_consistent_backward(i, seq.walks[i], seq) for i in range(1, params.n)
         )
         lo, hi = backward_bounds(0, seq, params)
         assert lo.is_full and hi.is_full

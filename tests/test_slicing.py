@@ -23,10 +23,10 @@ from coneideal.slicing import (
     backward_bounds,
     enumerate_all_r3,
     forward_bounds,
-    layer_host,
     layers_to_points,
     nonempty_lookahead,
     nonfull_lookback,
+    square_host,
 )
 from coneideal.symmetric import enumerate_all_r1
 from coneideal.walks import IdealSet2, Rect, empty_walk, full_walk, walk_leq, walk_of
@@ -69,7 +69,7 @@ class TestLookahead:
 
     def test_absent_when_all_empty(self):
         params = Params(p=3, m=3, r=3)
-        u = layer_host(params)
+        u = square_host(params.n)
         seq = LayerSequence(params, {1: empty_walk(u, 3), 2: empty_walk(u, 3)})
         assert nonempty_lookahead(0, seq) is None
 
@@ -81,12 +81,12 @@ class TestBackwardBounds:
             lo, hi = backward_bounds(i, seq, params)
             assert lo.points == BACKWARD_X[i], i
             assert hi.points == BACKWARD_Y[i], i
-            assert walk_leq(lo, seq.walk(i)) and walk_leq(seq.walk(i), hi)
+            assert walk_leq(lo, seq.walks[i]) and walk_leq(seq.walks[i], hi)
 
     def test_reference_consistency(self, backward_seq):
         params, seq = backward_seq
         for i in range(params.n - 1, -1, -1):
-            assert is_consistent_backward(i, seq.walk(i), seq)
+            assert is_consistent_backward(i, seq.walks[i], seq)
 
     def test_top_layer_unconstrained(self):
         params = Params(p=2, m=6, r=3)
@@ -96,7 +96,7 @@ class TestBackwardBounds:
 
     def test_full_layers_force_full(self):
         params = Params(p=2, m=6, r=3)
-        u = layer_host(params)
+        u = square_host(params.n)
         seq = LayerSequence(params, {i: full_walk(u, 2) for i in (1, 2)})
         lo, hi = backward_bounds(0, seq, params)
         assert lo.is_full and hi.is_full
@@ -105,7 +105,7 @@ class TestBackwardBounds:
         # below-threshold box: the order is the product order, so empty
         # upper layers leave the next layer unconstrained
         params = Params(p=3, m=3, r=3)
-        u = layer_host(params)
+        u = square_host(params.n)
         seq = LayerSequence(params, {i: empty_walk(u, 3) for i in (1, 2)})
         lo, hi = backward_bounds(0, seq, params)
         assert lo.is_empty and hi.is_full
@@ -124,7 +124,7 @@ class TestForwardBounds:
                 assert lo.points == FORWARD_X[i], i
             if i in FORWARD_Y:
                 assert hi.points == FORWARD_Y[i], i
-            assert walk_leq(lo, seq.walk(i)) and walk_leq(seq.walk(i), hi)
+            assert walk_leq(lo, seq.walks[i]) and walk_leq(seq.walks[i], hi)
 
     def test_bottom_layer_unconstrained(self):
         params = Params(p=2, m=6, r=3)
@@ -134,14 +134,14 @@ class TestForwardBounds:
 
     def test_empty_previous_layer_forces_empty(self):
         params = Params(p=2, m=6, r=3)
-        u = layer_host(params)
+        u = square_host(params.n)
         seq = LayerSequence(params, {0: empty_walk(u, 2)})
         lo, hi = forward_bounds(1, seq, params)
         assert lo.is_empty and hi.is_empty
 
     def test_small_box_containment_only(self):
         params = Params(p=3, m=3, r=3)
-        u = layer_host(params)
+        u = square_host(params.n)
         seq = LayerSequence(params, {0: full_walk(u, 3)})
         lo, hi = forward_bounds(1, seq, params)
         assert lo.is_empty and hi.is_full
@@ -207,7 +207,7 @@ class TestBoundsSoundness:
     def test_matches_raw_layer_candidates(self):
         # independent formulation via full 3D closure of explicit slabs
         params = Params(p=2, m=6, r=3)
-        u = layer_host(params)
+        u = square_host(params.n)
         ideals = all_rect_ideals(u, 2)
         rng = random.Random(5)
         for _ in range(10):

@@ -109,14 +109,14 @@ class TestAccumulate:
     def test_search_carries_point_set_sections(self, monkeypatch, p, m, mode):
         # every node's sections, as the per-shell step leaves them, are the
         # sections of that node's own shells; the step runs once per node
-        # below the root, never for a leaf; the bounds read the sections of
-        # the node they are computed at, once per distinct (depth, window)
-        # of the last p sections
+        # below the root, never for a leaf; the bounds see exactly the last
+        # p sections of the node whose window they are computed for, with
+        # None below them, once per distinct (depth, window)
         params = Params(p=p, m=m, r=1)
         total = enumerate_all_r1(params, mode="count")
         real_first, real_bounds = symmetric.depth_first, symmetric.symmetric_bounds
         real_step = symmetric._with_shell
-        node_shells = []
+        node_shells = ()
         windows = {(0, ())}
         bounds_calls, checked, steps = 0, 0, 0
 
@@ -125,10 +125,11 @@ class TestAccumulate:
             seq = SymLayerSequence(params, shells)
             return [walk_of(s, p) for s in accumulate_layers(seq, i)] if i else []
 
-        def first(root, last, interval, choices, child, *rest):
-            def spied_interval(depth, node):
-                node_shells.append(node[0])
-                return interval(depth, node)
+        def first(root, last, interval, choices, child, count_of, mode, shards, window):
+            def spied_window(depth, node):
+                nonlocal node_shells
+                node_shells = node[0]
+                return window(depth, node)
 
             def spied_child(depth, node, w):
                 nonlocal checked
@@ -139,13 +140,17 @@ class TestAccumulate:
                     windows.add((depth + 1, sections[max(0, depth + 1 - p) :]))
                 return kid
 
-            return real_first(root, last, spied_interval, choices, spied_child, *rest)
+            return real_first(
+                root, last, interval, choices, spied_child, count_of, mode, shards,
+                spied_window,
+            )
 
         def bounds(i, cum, params):
             nonlocal bounds_calls
-            shells = node_shells.pop()
-            assert len(shells) == i
-            assert list(cum) == sections_of(shells), [w.hs for w in shells]
+            assert len(node_shells) == i
+            low = max(0, i - p)
+            seen = (None,) * low + tuple(sections_of(node_shells)[low:])
+            assert tuple(cum) == seen, [w.hs for w in node_shells]
             bounds_calls += 1
             return real_bounds(i, cum, params)
 
