@@ -4,8 +4,8 @@ The package splits into a pure-geometry kernel (:mod:`coneideal.order`), the
 boundary-walk calculus (:mod:`coneideal.walks`), two enumeration engines
 (:mod:`coneideal.slicing` for plain ideals, :mod:`coneideal.symmetric` for
 rotation-invariant ones), the finite-field bridge (:mod:`coneideal.codes`),
-a brute-force referee (:mod:`coneideal.oracle`) and a CLI
-(:mod:`coneideal.cli`).
+and a CLI (:mod:`coneideal.cli`).  The brute-force referees that check them
+live with the tests, in ``tests/oracle.py``.
 """
 
 from .errors import (
@@ -19,9 +19,8 @@ from .errors import (
     NotAnIdeal,
     NotInvariant,
     OutOfRange,
-    TooLarge,
 )
-from .order import Params, Point2, Point3, precedes2, precedes3, rotate
+from .order import Params, Point2, Point3, precedes3, rotate
 from .slicing import (
     backward_bounds,
     count_interval,

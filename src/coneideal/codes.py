@@ -205,9 +205,13 @@ def _reduce_against(
     F_p-coordinates (:func:`_fp_coordinates`).  It is zero exactly when every
     row of ``moved`` lies in the row space of the echelon form ``rref``.
     The product is r^2 integer matrix products mod p, combined by the
-    structure constants of the coordinate basis."""
-    lead = moved[:, :, pivots]
-    prods = np.array([[a @ b for b in rref] for a in lead])
+    structure constants of the coordinate basis.
+
+    The products run as one broadcast float64 product, which is exact: each
+    entry is a sum of at most rank <= q nonnegative terms below p^2 <= q^(2/3),
+    so every partial sum stays below q^(5/3) < 2^53 for any q < 2^31."""
+    lead = moved[:, None, :, pivots].astype(np.float64)
+    prods = (lead @ rref[None].astype(np.float64)).astype(np.int64)
     return (moved - np.einsum("abc,abij->cij", sub.structure, prods)) % sub.p
 
 

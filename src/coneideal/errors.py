@@ -37,9 +37,5 @@ class NotInvariant(ConeIdealError):
     """A point set is not an invariant ideal where one is required."""
 
 
-class TooLarge(ConeIdealError):
-    """A brute-force oracle was asked to handle too large an instance."""
-
-
 class OutOfRange(ConeIdealError):
     """A scalar argument lies outside its documented range."""

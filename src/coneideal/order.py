@@ -7,9 +7,9 @@ plane parallel to the xy-plane gives a planar cone
     D = {(x, y) : x + p*y <= 0,  p^2*x + y <= 0},
 
 and all 2D work in this package happens in the order defined by D.  Every
-predicate here is integer-only.  The generic-e, cross-section and rational
-anchor forms of the order, which only tests compare against, live in
-:mod:`coneideal.oracle`.
+predicate here is integer-only.  The planar predicate itself and the
+generic-e, cross-section and rational anchor forms of the order, which only
+tests compare against, live in the test referees (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -83,13 +83,6 @@ def precedes3(u: Point3, v: Point3, p: int) -> bool:
         and d0 * p2 + d1 + d2 * p <= 0
         and d0 * p + d1 * p2 + d2 <= 0
     )
-
-
-def precedes2(u: Point2, v: Point2, p: int) -> bool:
-    """Whether u precedes v in the planar order: u - v lies in the cone D."""
-    dx = u[0] - v[0]
-    dy = u[1] - v[1]
-    return dx + p * dy <= 0 and p * p * dx + dy <= 0
 
 
 def rotate(u: Point3) -> Point3:

@@ -192,8 +192,8 @@ class IdealSet2:
 
 
 def walk_of(s: IdealSet2, p: int) -> Walk:
-    """The walk of an explicit planar ideal (the inverse of
-    :func:`coneideal.oracle.ideal_of`); raises NotAnIdeal when s is not
+    """The walk of an explicit planar ideal (the inverse of the referee
+    ``ideal_of`` in ``tests/oracle.py``); raises NotAnIdeal when s is not
     closed."""
     a, c = s.host.a, s.host.c
     hs = [c - 1] * s.host.width

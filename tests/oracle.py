@@ -13,8 +13,9 @@ fast paths: the direct consistency tests of a candidate layer
 :func:`is_consistent_sym` with :func:`is_palindromic`), the point-set cross
 sections :func:`accumulate_layers` and the reach classes
 :func:`classify_reach` of the shells, and the per-height point counts
-:func:`layer_counts`; the generic-e, cross-section and rational-anchor forms
-of the order (:func:`precedes_generic`, :func:`section_precedes`,
+:func:`layer_counts`; the planar order predicate (:func:`precedes2`) and the
+generic-e, cross-section and rational-anchor forms of the order
+(:func:`precedes_generic`, :func:`section_precedes`,
 :func:`rational_shift_covers`); the corner input of walks
 (:func:`walk_from_obj`, :func:`walk_from_corners` with its step rules
 :func:`validate_walk`), which decodes and checks emitted lines, and the
@@ -40,20 +41,25 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Literal
 
-from .codes import CodeSpec
-from .errors import (
+from coneideal.codes import CodeSpec
+from coneideal.errors import (
     CapExceeded,
+    ConeIdealError,
     HostMismatch,
     InconsistentInput,
     InvalidWalk,
     OutOfRange,
-    TooLarge,
 )
-from .fields import SmallField
-from .order import Params, Point2, Point3, precedes2, precedes3, rotate
-from .slicing import LayerSequence, nonempty_lookahead, nonfull_lookback, square_host
-from .symmetric import SymLayerSequence, accumulated_walks
-from .walks import (
+from coneideal.fields import SmallField
+from coneideal.order import Params, Point2, Point3, precedes3, rotate
+from coneideal.slicing import (
+    LayerSequence,
+    nonempty_lookahead,
+    nonfull_lookback,
+    square_host,
+)
+from coneideal.symmetric import SymLayerSequence, accumulated_walks
+from coneideal.walks import (
     IdealSet2,
     Rect,
     Walk,
@@ -65,6 +71,17 @@ from .walks import (
 )
 
 MAX_POSET = 80
+
+
+class TooLarge(ConeIdealError):
+    """A brute-force referee was asked to handle too large an instance."""
+
+
+def precedes2(u: Point2, v: Point2, p: int) -> bool:
+    """Whether u precedes v in the planar order: u - v lies in the cone D."""
+    dx = u[0] - v[0]
+    dy = u[1] - v[1]
+    return dx + p * dy <= 0 and p * p * dx + dy <= 0
 
 
 # -- rectangles and walks as point sets --

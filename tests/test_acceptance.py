@@ -16,19 +16,6 @@ from coneideal.codes import (
     preimage_list,
     verify_invariance,
 )
-from coneideal.oracle import (
-    LayerOracle,
-    all_rect_ideals,
-    box_poset,
-    brute_ideals,
-    brute_layer_candidates,
-    code_fingerprint,
-    equivalent_transport_conditions,
-    is_consistent_backward,
-    is_consistent_forward,
-    is_consistent_sym,
-    restrict,
-)
 from coneideal.order import Params
 from coneideal.slicing import (
     LayerSequence,
@@ -69,6 +56,19 @@ from conftest import (
     backward_walks,
     forward_walks,
     symmetric_walks,
+)
+from oracle import (
+    LayerOracle,
+    all_rect_ideals,
+    box_poset,
+    brute_ideals,
+    brute_layer_candidates,
+    code_fingerprint,
+    equivalent_transport_conditions,
+    is_consistent_backward,
+    is_consistent_forward,
+    is_consistent_sym,
+    restrict,
 )
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from coneideal import cli
 from coneideal.cli import EXIT_BROKEN_PIPE, _engine, main, points_renderer
-from coneideal.oracle import layer_counts
 from coneideal.render import ascii_layers, svg_cubes
 from coneideal.order import Params, rotate
 from coneideal.slicing import layer_points, layers_to_points, square_host, stack_points
@@ -26,6 +25,7 @@ from coneideal.symmetric import (
 from coneideal.walks import full_walk
 
 from conftest import EXAMPLE_DEFINING, EXAMPLE_IDEAL
+from oracle import layer_counts
 
 
 def run(capsys, *argv):
@@ -520,7 +520,7 @@ def test_option_the_command_does_not_read(capsys, example_file, command, option)
 
 class TestRoundTrip:
     def test_stream_walks_parse_back(self, capsys):
-        from coneideal.oracle import walk_from_obj, validate_walk
+        from oracle import walk_from_obj, validate_walk
 
         code, out, _ = run(capsys, "enumerate", "--p", "3", "--m", "3", "--r", "1")
         assert code == 0

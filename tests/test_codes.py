@@ -4,12 +4,14 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from coneideal.codes import (
     CodeSpec,
     _expand_rows,
     _power_row,
+    _reduce_against,
     _rref,
     agl_generators,
     build_code,
@@ -23,7 +25,12 @@ from coneideal.codes import (
 )
 from coneideal.errors import CapExceeded, NotInvariant, OutOfRange
 from coneideal.fields import SmallField, least_irreducible
-from coneideal.oracle import (
+from coneideal.order import Params, precedes3, rotate
+from coneideal.slicing import enumerate_all_r3, layers_to_points
+from coneideal.symmetric import SymLayerSequence, assembled_points, enumerate_all_r1
+
+from conftest import EXAMPLE_DEFINING, EXAMPLE_IDEAL
+from oracle import (
     code_fingerprint,
     digit_class_sums,
     from_coordinates,
@@ -35,11 +42,6 @@ from coneideal.oracle import (
     verify_invariance_on_words,
     word_in_code,
 )
-from coneideal.order import Params, precedes3, rotate
-from coneideal.slicing import enumerate_all_r3, layers_to_points
-from coneideal.symmetric import SymLayerSequence, assembled_points, enumerate_all_r1
-
-from conftest import EXAMPLE_DEFINING, EXAMPLE_IDEAL
 
 P23 = Params(p=2, m=3, r=1)
 P33 = Params(p=3, m=3, r=1)
@@ -425,6 +427,22 @@ class TestScalarReferee:
             assert spec.rref.tolist() == ref, sorted(ideal)
             assert spec.pivots == pivots
             assert spec.dimension == params.p**params.m - len(pivots)
+
+    @pytest.mark.parametrize("p,m,r", [(2, 9, 1), (7, 3, 3), (31, 3, 1)])
+    def test_reduce_against_matches_integer_products(self, p, m, r):
+        # the one float64 product against the r^2 integer products it
+        # replaced, on random F_p-coordinates
+        sub = SmallField(p, m).subfield(r)
+        q = p**m
+        rng = np.random.default_rng(p)
+        rref = rng.integers(0, p, size=(r, 48, q))
+        moved = rng.integers(0, p, size=(r, 6, q))
+        pivots = sorted(rng.choice(q, 48, replace=False).tolist())
+        prods = np.array([[a @ b for b in rref] for a in moved[:, :, pivots]])
+        want = (moved - np.einsum("abc,abij->cij", sub.structure, prods)) % p
+        got = _reduce_against(sub, rref, pivots, moved)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 class TestAffineGroup:

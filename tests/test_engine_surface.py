@@ -1,13 +1,13 @@
-"""The engine modules hold only what the program runs.
+"""The package holds only what the program runs.
 
-Every top-level def or class of the modules in ``ENGINE`` must be reached
-from live code: the module-level code and the functions of the package
-modules other than ``oracle.py`` and ``__init__.py`` (the CLI, the engines,
-the code pipeline), the benchmark's span targets in ``perfbench/spans.py``,
-or an import in ``perfbench/``.  A def of an engine module is live only when
-something live refers to it, so a helper that only another dead helper
-calls is reported too.  Referees that only the tests use belong in
-``oracle.py``.
+Every top-level def or class of every package module other than
+``__init__.py`` must be reached from live code: the module-level code of the
+package modules (the CLI's ``__main__`` call among it), the benchmark's span
+targets in ``perfbench/spans.py``, or an import in ``perfbench/``.  A def is
+live only when something live refers to it, so a helper that only another
+dead helper calls is reported too.  The re-exports of ``__init__.py`` make
+nothing live.  Referees that only the tests use belong in
+``tests/oracle.py``, outside the package.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "coneideal"
 PERFBENCH = ROOT / "perfbench"
-ENGINE = ("walks", "slicing", "symmetric", "codes", "fields", "render")
-NOT_USERS = ("oracle", "__init__")
+NOT_USERS = ("__init__",)
 
 
 def _package_sources() -> dict[str, str]:
@@ -76,8 +77,8 @@ def _referenced(node: ast.AST, module: str, local: set[str], imported: dict) -> 
 
 
 def unreachable(sources: dict[str, str], roots: set[tuple[str, str]]) -> list[str]:
-    """``module.name`` of each top-level def or class of an engine module
-    that no live code reaches, in source order."""
+    """``module.name`` of each top-level def or class in sources that no
+    live code reaches, in source order."""
     edges: dict[tuple[str, str], set] = {}
     live: set[tuple[str, str]] = set(roots)
     for module, text in sources.items():
@@ -96,8 +97,6 @@ def unreachable(sources: dict[str, str], roots: set[tuple[str, str]]) -> list[st
         }
         for node in defs:
             edges[(module, node.name)] = _referenced(node, module, local, imported)
-            if module not in ENGINE:
-                live.add((module, node.name))
         for node in tree.body:
             if node not in defs:
                 live |= _referenced(node, module, local, imported)
@@ -107,11 +106,7 @@ def unreachable(sources: dict[str, str], roots: set[tuple[str, str]]) -> list[st
             if ref not in live:
                 live.add(ref)
                 todo.append(ref)
-    return [
-        f"{module}.{name}"
-        for module, name in edges
-        if module in ENGINE and (module, name) not in live
-    ]
+    return [f"{module}.{name}" for module, name in edges if (module, name) not in live]
 
 
 def _roots() -> set[tuple[str, str]]:
@@ -121,7 +116,7 @@ def _roots() -> set[tuple[str, str]]:
 def test_engine_modules_hold_only_live_code():
     dead = unreachable(_package_sources(), _roots())
     assert not dead, (
-        "only the tests or the oracle use these; move them to oracle.py: "
+        "only the tests or the oracle use these; move them to tests/oracle.py: "
         + ", ".join(dead)
     )
 
@@ -129,7 +124,7 @@ def test_engine_modules_hold_only_live_code():
 def test_guard_reports_a_referee_put_back():
     """The check itself: ``oracle.restrict`` moved back into ``walks.py``,
     where only the oracle and the tests would call it, is reported."""
-    oracle_text = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    oracle_text = (ROOT / "tests" / "oracle.py").read_text(encoding="utf-8")
     restrict = next(
         node
         for node in ast.parse(oracle_text).body
@@ -138,3 +133,44 @@ def test_guard_reports_a_referee_put_back():
     sources = _package_sources()
     sources["walks"] += "\n\n" + ast.get_source_segment(oracle_text, restrict) + "\n"
     assert unreachable(sources, _roots()) == ["walks.restrict"]
+
+
+def _imports_oracle(text: str) -> bool:
+    """Whether the source imports a module named ``oracle``, in any form."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "oracle" for name in names):
+            return True
+    return False
+
+
+def test_referees_live_outside_the_package():
+    assert importlib.util.find_spec("coneideal.oracle") is None
+    shipped = sorted(PACKAGE.rglob("*.py")) + sorted(PERFBENCH.rglob("*.py"))
+    importers = [
+        str(path.relative_to(ROOT))
+        for path in shipped
+        if _imports_oracle(path.read_text(encoding="utf-8"))
+    ]
+    assert not importers, "these import the test referees: " + ", ".join(importers)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "import oracle",
+        "from oracle import ideal_of",
+        "from . import oracle",
+        "from .oracle import ideal_of",
+        "from coneideal.oracle import ideal_of",
+        "import coneideal.oracle as o",
+    ],
+)
+def test_oracle_import_check_sees_each_form(line):
+    assert _imports_oracle(line)
+    assert not _imports_oracle(line.replace("oracle", "order"))

@@ -17,6 +17,7 @@ memos, and no walk a search built (with its cached JSON text) outlives it.
 import collections
 import weakref
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -270,10 +271,19 @@ def test_short_window_raises(monkeypatch, engine, direction, mode):
     else:
         _short_windows(monkeypatch, symmetric, slice(1, None))
         search = partial(enumerate_all_r1, Params(p=2, m=12, r=1), mode)
-    with pytest.raises((IndexError, AttributeError)):
+    with pytest.raises((IndexError, AttributeError)) as raised:
         found = search()
         if mode == "stream":
             sum(1 for _ in found)
+    # the error comes from the bounds reading past the window, not from the
+    # wrappers above: from the bounds function inward, every frame is the
+    # package's
+    frames = [(Path(str(entry.path)), entry.name) for entry in raised.traceback]
+    bounds = {"backward_bounds", "forward_bounds", "symmetric_bounds"}
+    start = next((i for i, (_, name) in enumerate(frames) if name in bounds), None)
+    assert start is not None, frames
+    package = Path(slicing.__file__).parent
+    assert all(path.parent == package for path, _ in frames[start:]), frames
 
 
 def _r1_nodes(monkeypatch, params, mode):

@@ -3,15 +3,15 @@
 import json
 
 from coneideal.codes import build_code
-from coneideal.oracle import (
+from coneideal.order import Params, precedes3
+from coneideal.slicing import LayerSequence, backward_bounds, square_host
+from coneideal.walks import empty_walk, full_walk
+from oracle import (
     code_summary,
     is_consistent_backward,
     is_consistent_forward,
     precedes_generic,
 )
-from coneideal.order import Params, precedes3
-from coneideal.slicing import LayerSequence, backward_bounds, square_host
-from coneideal.walks import empty_walk, full_walk
 
 
 class TestGenericCirculant:

@@ -2,9 +2,11 @@
 
 import pytest
 
-from coneideal.errors import TooLarge
-from coneideal.oracle import (
+from coneideal.order import Params
+from coneideal.walks import Rect
+from oracle import (
     LayerOracle,
+    TooLarge,
     all_rect_ideals,
     box_poset,
     brute_extension,
@@ -13,11 +15,10 @@ from coneideal.oracle import (
     brute_layer_candidates,
     ideal_3d,
     poset_from,
+    precedes2,
     rect_points,
     rect_poset,
 )
-from coneideal.order import Params
-from coneideal.walks import Rect
 
 
 class TestBruteIdeals:
@@ -73,8 +74,6 @@ class TestBruteExtension:
                 got = brute_extension(pts, small, big, which, 2)
                 walkable = {q for q in got}
                 # closed within big and restricting correctly
-                from coneideal.order import precedes2
-
                 for u in walkable:
                     for w in rect_points(big):
                         if precedes2(w, u, 2):

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from coneideal.errors import OutOfRange
-from coneideal.oracle import (
+from coneideal.order import Params, is_prime, precedes3, rotate
+from oracle import (
     cone_slice_anchor,
     in_slice,
+    precedes2,
     rational_shift_covers,
     section_precedes,
 )
-from coneideal.order import Params, is_prime, precedes2, precedes3, rotate
 
 
 def box3(lo, hi):

@@ -9,14 +9,7 @@ import random
 
 import pytest
 
-from coneideal.oracle import (
-    accumulate_layers,
-    all_rect_ideals,
-    rect_points,
-    restrict,
-    shift,
-)
-from coneideal.order import Params, precedes2, precedes3
+from coneideal.order import Params, precedes3
 from coneideal.slicing import ideal_transport
 from coneideal.symmetric import (
     SymLayerSequence,
@@ -30,6 +23,14 @@ from coneideal.walks import (
     highest_extension,
     walk_leq,
     walk_of,
+)
+from oracle import (
+    accumulate_layers,
+    all_rect_ideals,
+    precedes2,
+    rect_points,
+    restrict,
+    shift,
 )
 
 

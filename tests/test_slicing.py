@@ -6,17 +6,6 @@ import random
 import pytest
 
 from coneideal.codes import violated_condition
-from coneideal.oracle import (
-    LayerOracle,
-    all_rect_ideals,
-    box_poset,
-    brute_ideals,
-    brute_layer_candidates,
-    equivalent_transport_conditions,
-    is_consistent_backward,
-    is_consistent_forward,
-    rect_points,
-)
 from coneideal.order import Params
 from coneideal.slicing import (
     LayerSequence,
@@ -41,6 +30,17 @@ from conftest import (
     FORWARD_Y,
     backward_walks,
     forward_walks,
+)
+from oracle import (
+    LayerOracle,
+    all_rect_ideals,
+    box_poset,
+    brute_ideals,
+    brute_layer_candidates,
+    equivalent_transport_conditions,
+    is_consistent_backward,
+    is_consistent_forward,
+    rect_points,
 )
 
 

@@ -7,21 +7,6 @@ import pytest
 from coneideal import symmetric
 from coneideal.codes import violated_condition
 from coneideal.errors import InconsistentInput
-from coneideal.oracle import (
-    LayerReach,
-    accumulate_layers,
-    all_rect_ideals,
-    box_poset,
-    brute_ideals,
-    brute_layer_candidates,
-    classify_reach,
-    ideal_3d,
-    is_consistent_sym,
-    is_palindromic,
-    rotation_invariant_3d,
-    walk_contains,
-    walk_from_corners,
-)
 from coneideal.order import Params
 from coneideal.slicing import enumerate_interval
 from coneideal.symmetric import (
@@ -49,6 +34,21 @@ from conftest import (
     SYMMETRIC_SECTIONS,
     SYMMETRIC_T,
     symmetric_walks,
+)
+from oracle import (
+    LayerReach,
+    accumulate_layers,
+    all_rect_ideals,
+    box_poset,
+    brute_ideals,
+    brute_layer_candidates,
+    classify_reach,
+    ideal_3d,
+    is_consistent_sym,
+    is_palindromic,
+    rotation_invariant_3d,
+    walk_contains,
+    walk_from_corners,
 )
 
 PARAMS_REF = Params(p=3, m=9, r=1)

@@ -15,21 +15,6 @@ from coneideal.errors import (
     NoSuchWalk,
     NotAnIdeal,
 )
-from coneideal.oracle import (
-    all_rect_ideals,
-    brute_extension,
-    ideal_of,
-    rect_points,
-    rect_shifted,
-    restrict,
-    shift,
-    validate_walk,
-    walk_contains,
-    walk_from_corners,
-    walk_from_obj,
-    walk_size,
-)
-from coneideal.order import precedes2
 from coneideal.slicing import enumerate_interval
 from coneideal.walks import (
     IdealSet2,
@@ -49,6 +34,21 @@ from coneideal.walks import (
     walk_from_heights,
     walk_leq,
     walk_of,
+)
+from oracle import (
+    all_rect_ideals,
+    brute_extension,
+    ideal_of,
+    precedes2,
+    rect_points,
+    rect_shifted,
+    restrict,
+    shift,
+    validate_walk,
+    walk_contains,
+    walk_from_corners,
+    walk_from_obj,
+    walk_size,
 )
 
 FIG_WALK = ((0, 9), (1, 9), (1, 7), (3, 7), (3, 3), (5, 3), (5, 0))
