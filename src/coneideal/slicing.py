@@ -16,9 +16,9 @@ An undefined term (offset out of range, or no alpha/beta) is simply left
 out of the join/meet.  The forward rule also serves the r = 1 engine, whose
 walks below height i are the cross sections under a shell.  Both transports
 are computed on their target by :mod:`coneideal.walks`.  Interval
-enumeration and counting share one rule for the heights a column admits;
-enumeration recurses over column heights in lexicographic order, which
-makes the output stream canonical.
+enumeration and counting are column sweeps that share one rule for the
+heights a column admits; enumeration lists the height profiles in
+lexicographic order, which makes the output stream canonical.
 """
 
 from __future__ import annotations
@@ -58,16 +58,17 @@ def square_host(n: int) -> Rect:
 
 @dataclass(slots=True)
 class LayerSequence:
-    """Partial assignment of layer walks, built from one end of the stack:
-    the search keeps n + 1 slots, None while unassigned; the bounds only
+    """Partial assignment of layer walks in n + 1 slots, None while
+    unassigned: the view of a window that the bounds read.  They only
     index ``walks``, so a dict of the assigned layers serves them too.  A
-    search builds one per streamed node and one view per window, so they
-    carry no __dict__."""
+    search builds one per distinct window; its nodes are plain tuples."""
 
     params: Params
     walks: tuple[Optional[Walk], ...] | dict[int, Walk] = field(default_factory=dict)
 
     def with_layer(self, i: int, w: Walk) -> "LayerSequence":
+        """The sequence with layer i set to w; no search calls it, and the
+        benchmark's span list names it (ROADMAP item 5)."""
         return LayerSequence(self.params, self.walks[:i] + (w,) + self.walks[i + 1 :])
 
 
@@ -163,56 +164,47 @@ def _profile_choices(
 def enumerate_interval(lower: Walk, upper: Walk) -> Iterator[Walk]:
     """Every walk between lower and upper, in column-height lex order.
 
-    Each column choice keeps the profile closed, so the walks are built
-    from their heights without re-validation.
+    The height profiles grow one column at a time, each prefix extended
+    by its admissible heights in increasing order, so the list stays in
+    lex order.  Each column choice keeps the profile closed, so the walks
+    are built from their heights without re-validation.
     """
     if not walk_leq(lower, upper):
         raise BoundsInverted(f"heights {lower.hs} above {upper.hs}")
     host, p = lower.host, lower.p
     lo, hi = lower.hs, upper.hs
-    width = host.width
-    acc: list[int] = []
-
-    def rec(x: int) -> Iterator[Walk]:
-        if x == width:
-            yield Walk(host, p, tuple(acc))
-            return
-        prev = acc[x - 1] if x > 0 else None
-        back = acc[x - p] if x >= p else None
-        for v in _profile_choices(x, prev, lo, hi, host, p, back):
-            acc.append(v)
-            yield from rec(x + 1)
-            acc.pop()
-
-    yield from rec(0)
+    profiles: list[tuple[int, ...]] = [()]
+    for x in range(host.width):
+        profiles = [
+            hs + (v,)
+            for hs in profiles
+            for v in _profile_choices(
+                x, hs[-1] if x else None, lo, hi, host, p, hs[x - p] if x >= p else None
+            )
+        ]
+    for hs in profiles:
+        yield Walk(host, p, hs)
 
 
 def count_interval(lower: Walk, upper: Walk) -> int:
-    """Number of walks between lower and upper (memoized column DP)."""
+    """Number of walks between lower and upper: a column sweep that keeps,
+    for each tuple of the last p heights, the number of prefixes ending
+    in it (the admissible heights of a column depend on those alone)."""
     if not walk_leq(lower, upper):
         raise BoundsInverted(f"heights {lower.hs} above {upper.hs}")
     host, p = lower.host, lower.p
     lo, hi = lower.hs, upper.hs
-    width = host.width
-    cache: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def rec(x: int, window: tuple[int, ...]) -> int:
-        # window holds the last min(x, p) chosen heights
-        if x == width:
-            return 1
-        key = (x, window)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        prev = window[-1] if window else None
-        back = window[0] if x >= p else None
-        total = 0
-        for v in _profile_choices(x, prev, lo, hi, host, p, back):
-            total += rec(x + 1, (window + (v,))[-p:])
-        cache[key] = total
-        return total
-
-    return rec(0, ())
+    ways: dict[tuple[int, ...], int] = {(): 1}
+    for x in range(host.width):
+        folded: dict[tuple[int, ...], int] = {}
+        for last, times in ways.items():
+            prev = last[-1] if x else None
+            back = last[0] if x >= p else None
+            for v in _profile_choices(x, prev, lo, hi, host, p, back):
+                key = (last + (v,))[-p:]
+                folded[key] = folded.get(key, 0) + times
+        ways = folded
+    return sum(ways.values())
 
 
 State = TypeVar("State")
@@ -259,7 +251,7 @@ def depth_first(
     Memo scope: one call.  The listing and the count are pure functions of
     the key, so the call runs ``choices`` and ``count_of`` once per distinct
     key, and equal walks listed anywhere in the search are one object (so
-    a walk's cached hash and JSON text serve them all).  A depth-first
+    a walk's cached JSON text serves them all).  A depth-first
     search looks up each node's listing, or its count at level ``last``, in
     one dict per level keyed on the window, so it computes the key once per
     distinct (depth, window); a merged count meets each window once.  The
@@ -360,33 +352,26 @@ def enumerate_all_r3(
         start = i + 1 if direction == "backward" else i - len(win)
         return bounds(i, LayerSequence(params, (None,) * start + win), params)
 
-    def child(depth: int, seq: LayerSequence, w: Walk) -> LayerSequence:
-        return seq.with_layer(levels[depth], w)
+    # a node is the tuple of its assigned walks in z order: layers i+1..n
+    # (backward) or 0..i-1 (forward), so a leaf is the stack as it stands
+    p, backward = params.p, direction == "backward"
 
-    p = params.p
+    def child(depth: int, node: tuple[Walk, ...], w: Walk) -> tuple[Walk, ...]:
+        return (w,) + node if backward else node + (w,)
 
-    def window(depth: int, seq: LayerSequence) -> tuple[Walk, ...]:
+    def window(depth: int, node: tuple[Walk, ...]) -> tuple[Walk, ...]:
         # the assigned layers the bounds of layer i read; the layers after
         # it read only these and the layers assigned below this node
-        i = levels[depth]
-        if direction == "backward":
-            return seq.walks[i + 1 : i + p + 1]
-        return seq.walks[max(0, i - p) : i]
+        return node[:p] if backward else node[-p:]
 
     def slide(depth: int, win: tuple[Walk, ...], w: Walk) -> tuple[Walk, ...]:
         # the window of the child that assigns w to layer i
-        if direction == "backward":
-            return ((w,) + win)[:p]
-        return (win + (w,))[-p:]
+        return window(depth + 1, child(depth, win, w))
 
-    root = LayerSequence(params, (None,) * (params.n + 1))
-    found = depth_first(
-        root, params.n, interval, enumerate_interval, child, count_interval,
+    return depth_first(
+        (), params.n, interval, enumerate_interval, child, count_interval,
         mode, shards, window, slide,
     )
-    if mode == "count":
-        return found
-    return (seq.walks for seq in found)
 
 
 def layer_points(z: int, w: Walk) -> frozenset[Point3]:

@@ -27,24 +27,29 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import HostMismatch, InvalidWalk, NoSuchWalk, NotAnIdeal
 from .order import Point2
 
 
-@dataclass(frozen=True, order=True)
-class Rect:
-    """Integer rectangle [a, b] x [c, d] with a <= b and c <= d."""
-
+class _RectFields(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self) -> None:
-        if self.a > self.b or self.c > self.d:
-            raise InvalidWalk(f"degenerate rectangle bounds {self}")
+
+class Rect(_RectFields):
+    """Integer rectangle [a, b] x [c, d] with a <= b and c <= d: a tuple, so
+    memo lookups hash and compare it in C."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "Rect":
+        if a > b or c > d:
+            raise InvalidWalk(f"degenerate rectangle bounds {(a, b, c, d)}")
+        return tuple.__new__(cls, (a, b, c, d))
 
     @property
     def width(self) -> int:
@@ -66,21 +71,17 @@ class Rect:
         return Rect(-self.b, -self.a, -self.d, -self.c)
 
 
-@dataclass(frozen=True)
-class Walk:
-    """An ideal of ``host`` stored as its column heights; host.c - 1 marks
-    an empty column.  The boundary's corners, its JSON text and the hash
-    are computed on first use; equality and hashing see host, p and hs."""
-
+class _WalkFields(NamedTuple):
     host: Rect
     p: int
     hs: tuple[int, ...]
 
-    def __hash__(self) -> int:
-        found = self.__dict__.get("_hash")
-        if found is None:
-            found = self.__dict__["_hash"] = hash((self.host, self.p, self.hs))
-        return found
+
+class Walk(_WalkFields):
+    """An ideal of ``host`` stored as its column heights; host.c - 1 marks
+    an empty column.  A tuple (host, p, hs), so equality and hashing run in
+    C; the boundary's corners and its JSON text are computed on first use
+    and kept in the instance dict."""
 
     @property
     def is_empty(self) -> bool:
@@ -109,8 +110,7 @@ class Walk:
 
     def to_obj(self) -> dict:
         """JSON-ready form: host [a,b,c,d] plus the corner pair array."""
-        h = self.host
-        return {"host": [h.a, h.b, h.c, h.d], "points": [list(q) for q in self.points]}
+        return {"host": list(self.host), "points": [list(q) for q in self.points]}
 
     @cached_property
     def json_text(self) -> str:
@@ -291,8 +291,9 @@ def transport_upper_bound(z: Walk, dx: int, dy: int, target: Rect) -> Walk:
     host, lies in z.  A point q is left out exactly when q + (dx, dy) lies
     above a point of z's host outside z, so the negated left-out points are
     the closure of the dual of z moved by (dx, dy): the answer is the dual
-    of that closure on the negated target."""
-    return dual(closure(dual(z), dx, dy, target.negated()))
+    of that closure, built on target itself."""
+    left_out = closure(dual(z), dx, dy, target.negated())
+    return Walk(target, z.p, tuple(-1 - h for h in reversed(left_out.hs)))
 
 
 # The search driver empties these memos as each search starts; the tuple

@@ -15,7 +15,7 @@ memos, and no walk a search built (with its cached JSON text) outlives it.
 """
 
 import collections
-import weakref
+import gc
 from functools import partial
 from pathlib import Path
 
@@ -143,20 +143,34 @@ def test_r3_count_counts_each_interval_once(monkeypatch, p, m, direction):
     assert [args for args, _ in counted] == list(dict.fromkeys(keys))
 
 
-def _r3_window(seq, i, direction):
-    """The assigned layers the bounds of layer i read."""
-    p = seq.params.p
-    if direction == "backward":
-        return seq.walks[i + 1 : i + p + 1]
-    return seq.walks[max(0, i - p) : i]
+def _r3_window(node, p, direction):
+    """The assigned layers the bounds of the next layer read: a node holds
+    layers i+1..n (backward) or 0..i-1 (forward) in z order."""
+    return node[:p] if direction == "backward" else node[-p:]
+
+
+def _spy_children(monkeypatch, record):
+    """Rebind slicing.depth_first so that every child the search builds,
+    ``child(depth, node, w)``, is appended to record as (depth, child)."""
+    real = slicing.depth_first
+
+    def first(root, last, interval, choices, child, *rest):
+        def spied(depth, node, w):
+            kid = child(depth, node, w)
+            record.append((depth, kid))
+            return kid
+
+        return real(root, last, interval, choices, spied, *rest)
+
+    monkeypatch.setattr(slicing, "depth_first", first)
 
 
 def _r3_nodes(monkeypatch, params, direction, mode="stream"):
     """Run a search and tally its nodes and their distinct windows per
-    layer, from the child step: ``with_layer(i, w)`` builds a node of the
-    next layer, i - 1 or i + 1."""
+    layer, from the child step: ``child(depth, node, w)`` builds a node of
+    the layer after the one it assigns, i - 1 or i + 1."""
     children = []
-    _spy(monkeypatch, slicing.LayerSequence, "with_layer", children)
+    _spy_children(monkeypatch, children)
     found = enumerate_all_r3(params, mode=mode, direction=direction)
     if mode == "stream":
         found = sum(1 for _ in found)
@@ -164,10 +178,11 @@ def _r3_nodes(monkeypatch, params, direction, mode="stream"):
     nodes, windows = collections.Counter({root: 1}), collections.defaultdict(set)
     windows[root].add(())
     step = -1 if direction == "backward" else 1
-    for (_, i, _), seq in children:
-        if 0 <= i + step <= params.n:
-            nodes[i + step] += 1
-            windows[i + step].add(_r3_window(seq, i + step, direction))
+    for depth, node in children:
+        i = root + step * (depth + 1)
+        if 0 <= i <= params.n:
+            nodes[i] += 1
+            windows[i].add(_r3_window(node, params.p, direction))
     monkeypatch.undo()
     return found, nodes, windows, len(children)
 
@@ -219,15 +234,15 @@ def test_r3_count_builds_no_nodes(monkeypatch, direction):
     params = Params(p=2, m=9, r=3)
     _, nodes, _, _ = _r3_nodes(monkeypatch, params, direction)
     step = -1 if direction == "backward" else 1
+    root = params.n if direction == "backward" else 0
     counts, built = [], collections.Counter()
     for index in range(4):
         kids = []
-        _spy(monkeypatch, slicing.LayerSequence, "with_layer", kids)
+        _spy_children(monkeypatch, kids)
         counts.append(enumerate_all_r3(params, "count", direction, shards=(index, 4)))
         monkeypatch.undo()
-        built.update(i + step for (_, i, _), _ in kids)
+        built.update(root + step * (depth + 1) for depth, _ in kids)
     assert sum(counts) == 38562
-    root = params.n if direction == "backward" else 0
     levels = [root + step * k for k in range(1, 1 + len(built))]
     assert sorted(built) == sorted(levels)
     assert all(built[i] == 4 * nodes[i] for i in levels)
@@ -415,14 +430,32 @@ def test_equal_walks_are_one_object(inst):
     assert len({id(w) for w in walks}) == len(set(walks)) < len(walks)
 
 
+def _live_walks():
+    return sum(type(obj) is Walk for obj in gc.get_objects())
+
+
 @pytest.mark.parametrize("inst", [(2, 12, 1), (2, 9, 3)])
 def test_no_walk_outlives_its_stream(inst):
-    leaves = _walk_stream(inst)
-    refs = [weakref.ref(w) for leaf in leaves for w in leaf if w.json_text]
-    # the module-level tables: the transport memos, which the next search
-    # empties, and the reach cases, which are fixed per shell; without a
-    # collection, so the search's memos must not sit in a reference cycle
-    for memo in TRANSPORT_MEMOS:
-        memo.cache_clear()
-    symmetric._reach_cases.cache_clear()
-    assert refs and all(ref() is None for ref in refs)
+    # walks are tuples, which take no weak reference, so count the live
+    # ones among the objects the collector tracks.  The module-level tables
+    # are the transport memos, which the next search empties, and the reach
+    # cases, which are fixed per shell.  The collector stays off, so the
+    # search's memos must not sit in a reference cycle.
+    def clear_module_memos():
+        for memo in TRANSPORT_MEMOS:
+            memo.cache_clear()
+        symmetric._reach_cases.cache_clear()
+
+    clear_module_memos()
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_walks()
+        leaves = _walk_stream(inst)
+        texts = [w.json_text for leaf in leaves for w in leaf]
+        assert texts and _live_walks() > before
+        del leaves
+        clear_module_memos()
+        assert _live_walks() == before
+    finally:
+        gc.enable()

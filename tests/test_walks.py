@@ -332,6 +332,15 @@ class TestExtensions:
         with pytest.raises(HostMismatch):
             lowest_extension(empty_walk(Rect(0, 3, 0, 3), 2), Rect(0, 2, 0, 2))
 
+    def test_extension_lives_on_the_given_host(self):
+        # the upper transport builds its answer on its target, so memoized
+        # walks share the one host object a search passes in
+        transport_upper_bound.cache_clear()
+        small, big = Rect(0, 1, 0, 1), Rect(0, 3, 0, 3)
+        z = walk_of(IdealSet2(small, frozenset({(0, 0), (1, 0)})), 2)
+        assert highest_extension(z, big).host is big
+        assert transport_upper_bound(z, 1, -2, big).host is big
+
     @pytest.mark.parametrize("seed", range(6))
     def test_against_brute_oracle(self, seed):
         rng = random.Random(1000 + seed)
