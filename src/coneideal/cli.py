@@ -1,8 +1,9 @@
 """Command-line surface: enumerate, defining-set, verify and render.
 
 Exit codes: 0 success, 2 invalid parameters or unparseable input, 3 size cap
-exceeded, 4 input set is not an invariant ideal, 5 verification failure,
-141 stdout closed by its reader (as ``| head``) before the output ended.
+exceeded, 4 input set is not an invariant ideal, 5 verification failure or
+an engine's failed internal consistency check, 141 stdout closed by its
+reader (as ``| head``) before the output ended.
 All diagnostics go to stderr; machine output (JSONL, counts, listings,
 drawings) goes to stdout or the --emit path.
 """
@@ -32,8 +33,14 @@ from .codes import (
     verify_invariance,
     violated_condition,
 )
-from .errors import CapExceeded, ConeIdealError, NotInvariant, OutOfRange
-from .fields import DEFAULT_FIELD_CAP
+from .errors import (
+    CapExceeded,
+    ConeIdealError,
+    InconsistentInput,
+    NotInvariant,
+    OutOfRange,
+)
+from .fields import DEFAULT_FIELD_CAP, shared_field
 from .order import Params
 from .render import ascii_layers, svg_cubes
 from .slicing import enumerate_all_r3, layer_points, stack_points
@@ -182,6 +189,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         layer = cache(points_of)  # each distinct (index, walk) layer built once
         ideals = (stack_points(ws, layer) for ws in search(params, mode="stream"))
     try:
+        # both caps, before the first ideal is listed
+        shared_field(params.p, params.m, cap=args.cap_field).subfield(params.r)
         gens = agl_generators(params, cap_field=args.cap_field)
     except CapExceeded as exc:
         return _fail(EXIT_CAP, str(exc))
@@ -282,6 +291,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(exc.code, str(exc))
     except CapExceeded as exc:
         return _fail(EXIT_CAP, str(exc))
+    except InconsistentInput as exc:
+        return _fail(EXIT_VERIFY_FAILED, f"internal consistency check failed: {exc}")
     except ConeIdealError as exc:
         return _fail(EXIT_BAD_PARAMS, str(exc))
 

@@ -1,13 +1,14 @@
 """Boundary walks of planar cone ideals in integer rectangles.
 
 An ideal of a rectangle [a,b] x [c,d] under the planar cone order is
-determined by its column heights: a vector h with h[x] in {c-1} | [c,d]
-(c-1 meaning an empty column) that is non-increasing, drops by at most p^2
-between adjacent columns, and rises by at least 1 over any span of p columns
-while below the top edge.  The boundary walk is the staircase of corner
-points of that profile: horizontal steps of length <= p (<= p-1 for a
-leading step) alternating with vertical steps of length <= p^2 (<= p^2-1
-for a trailing step).
+determined by its column heights: a vector h with h[x] in {c-1} | [c,d],
+c-1 meaning an empty column.  An ideal is a set equal to its own
+down-closure, so a profile or point set given from outside is accepted
+exactly when it is its own cone closure (:func:`walk_from_heights`,
+:func:`walk_of`).  The boundary walk is the staircase of corner points of
+the profile: horizontal steps of length <= p (<= p-1 for a leading step)
+alternating with vertical steps of length <= p^2 (<= p^2-1 for a trailing
+step).
 
 Everything here is exact integer arithmetic.  A walk is stored as its
 height profile, and its corner sequence is derived only for the JSON
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Literal, NamedTuple
+from typing import Iterable, Literal, NamedTuple
 
 from .errors import HostMismatch, InvalidWalk, NoSuchWalk, NotAnIdeal
 from .order import Point2
@@ -121,27 +122,13 @@ class Walk(_WalkFields):
 def walk_from_heights(hs: tuple[int, ...], host: Rect, p: int) -> Walk:
     """The walk of a height profile given from outside the walk calculus.
 
-    Raises NotAnIdeal when the profile violates closure: increasing heights,
-    a drop beyond p^2 (p^2 - 1 into an empty tail), or a run wider than the
-    step rules admit.
+    Raises NotAnIdeal unless the profile is its own cone closure on host,
+    which also rejects a wrong width and a height outside [c - 1, d].
     """
-    c, d = host.c, host.d
-    if len(hs) != host.width:
-        raise NotAnIdeal("height profile does not match the host width")
-    p2 = p * p
-    prev = None
-    for i, h in enumerate(hs):
-        if h > d or h < c - 1:
-            raise NotAnIdeal(f"height {h} outside [{c - 1}, {d}]")
-        if prev is not None:
-            if h > prev:
-                raise NotAnIdeal("heights increase to the right")
-            if prev >= c and prev - p2 >= c and h < prev - p2:
-                raise NotAnIdeal("drop exceeds the vertical step bound")
-        if i >= p and c <= h < d and hs[i - p] < d and h > hs[i - p] - 1:
-            raise NotAnIdeal("run below the top edge is wider than allowed")
-        prev = h
-    return Walk(host, p, tuple(hs))
+    w = Walk(host, p, tuple(hs))
+    if closure(w, 0, 0, host) != w:
+        raise NotAnIdeal(f"heights {list(hs)} are not an ideal of {host}")
+    return w
 
 
 def _corners(hs: tuple[int, ...], host: Rect) -> tuple[Point2, ...]:
@@ -193,18 +180,16 @@ class IdealSet2:
 
 def walk_of(s: IdealSet2, p: int) -> Walk:
     """The walk of an explicit planar ideal (the inverse of the referee
-    ``ideal_of`` in ``tests/oracle.py``); raises NotAnIdeal when s is not
-    closed."""
-    a, c = s.host.a, s.host.c
-    hs = [c - 1] * s.host.width
-    for x, y in s.points:
-        if not s.host.contains((x, y)):
-            raise NotAnIdeal(f"point {(x, y)} outside host {s.host}")
-        hs[x - a] = max(hs[x - a], y)
-    expected = sum(h - c + 1 for h in hs if h >= c)
-    if expected != len(s.points):
-        raise NotAnIdeal("columns are not bottom-anchored intervals")
-    return walk_from_heights(tuple(hs), s.host, p)
+    ``ideal_of`` in ``tests/oracle.py``): the cone closure of its points.
+    Raises NotAnIdeal when a point lies outside the host or the closure
+    holds a point that s does not."""
+    host = s.host
+    if not all(map(host.contains, s.points)):
+        raise NotAnIdeal(f"a point lies outside host {host}")
+    w = Walk(host, p, _reach_down_heights(s.points, host, p))
+    if sum(h - host.c + 1 for h in w.hs) != len(s.points):
+        raise NotAnIdeal("the cone closure of the points adds to them")
+    return w
 
 
 def dual(w: Walk) -> Walk:
@@ -248,15 +233,17 @@ def join_all(walks: list[Walk]) -> Walk:
     return reduce(join, walks)
 
 
-def _reach_down_heights(gens: list[Point2], big: Rect, p: int) -> tuple[int, ...]:
-    """Heights of {w in big : w precedes some generator} (cone closure)."""
+def _reach_down_heights(gens: Iterable[Point2], big: Rect, p: int) -> tuple[int, ...]:
+    """Heights of {w in big : w precedes some generator} (cone closure).
+    Column x lies under u up to min((p uy + ux - x) // p, uy + p^2 (ux - x)),
+    which is the first term when ux >= x and the second when not."""
     a, b, c, d = big.a, big.b, big.c, big.d
     p2 = p * p
     hs = []
     for x in range(a, b + 1):
         best = c - 1
         for ux, uy in gens:
-            cap = min((p * uy + ux - x) // p, uy + p2 * (ux - x))
+            cap = uy + (ux - x) // p if ux >= x else uy - p2 * (x - ux)
             if cap > best:
                 best = cap
         hs.append(min(best, d) if best >= c else c - 1)

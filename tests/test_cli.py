@@ -159,6 +159,18 @@ class TestEnumerate:
         assert (code, out) == (2, "")
         assert err.startswith(f"cannot write {target}: ")
 
+    def test_engine_consistency_failure_exit_5(self, capsys):
+        # the r = 1 engine stops with InconsistentInput at (2, 18, 1): a
+        # fault of the engine, not of the parameters
+        code, out, err = run(
+            capsys, "enumerate", "--p", "2", "--m", "18", "--r", "1", "--count-only"
+        )
+        assert (code, out) == (5, "")
+        assert err == (
+            "internal consistency check failed: "
+            "section 1 heights [5, 5, 5, 4, 4, 4] are not an ideal\n"
+        )
+
 
 # Canonical streams: (p, m, r, lines, jsonl sha256, points sha256) of
 # `coneideal enumerate` stdout.  Any change to the enumeration order, the walk
@@ -429,6 +441,13 @@ class TestVerify:
         )
         assert code == 3
         assert "cap" in err
+
+    def test_subfield_table_cap_exit_3_before_listing(self, capsys):
+        # GF(17^3) tables hold 17^6 > 2^24 entries: refused before the
+        # engine lists a single ideal of the n = 16 box
+        code, out, err = run(capsys, "verify", "--p", "17", "--m", "3", "--r", "3")
+        assert (code, out) == (3, "")
+        assert "tables exceed" in err
 
     @pytest.mark.parametrize(
         "p,r,sha",

@@ -3,7 +3,7 @@ restriction, shift, transports, the order dual, extensions and extremal
 walks."""
 
 import random
-from itertools import islice
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +117,57 @@ class TestValidation:
 
     def test_points_outside_host_rejected(self):
         assert not validate_walk(Rect(0, 2, 0, 2), 2, ((0, 3),))
+
+
+# square, offset, negated and single-cell hosts
+VALIDATION_HOSTS = (
+    Rect(0, 3, 0, 3), Rect(1, 4, 2, 4), Rect(-3, 0, -3, 0), Rect(0, 0, 0, 0)
+)
+
+
+class TestValidatorsAgainstBruteIdeals:
+    """walk_from_heights and walk_of against the brute-force ideal list,
+    over every input near the host, not only over well-formed ones."""
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    @pytest.mark.parametrize("host", VALIDATION_HOSTS)
+    def test_heights_accepted_exactly_when_ideal(self, host, p):
+        ideals = set(all_rect_ideals(host, p))
+        a, c, d = host.a, host.c, host.d
+        accepted = 0
+        for width in (host.width - 1, host.width, host.width + 1):
+            for hs in product(range(c - 2, d + 2), repeat=width):
+                # a height below c - 1 names no bottom-anchored column
+                closed = (
+                    width == host.width
+                    and min(hs) >= c - 1
+                    and {(a + i, y) for i, h in enumerate(hs) for y in range(c, h + 1)}
+                    in ideals
+                )
+                if closed:
+                    assert walk_from_heights(hs, host, p).hs == hs
+                    accepted += 1
+                else:
+                    with pytest.raises(NotAnIdeal):
+                        walk_from_heights(hs, host, p)
+        assert accepted == len(ideals)
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    @pytest.mark.parametrize("host", (Rect(0, 1, 0, 2), Rect(0, 2, 0, 1)))
+    def test_point_sets_accepted_exactly_when_ideal(self, host, p):
+        ideals = set(all_rect_ideals(host, p))
+        # every subset of the host, alone and with one point just outside it
+        cells = sorted(rect_points(host)) + [(host.b + 1, host.c)]
+        accepted = 0
+        for k in range(len(cells) + 1):
+            for pts in map(frozenset, combinations(cells, k)):
+                if pts in ideals:
+                    assert walk_of(IdealSet2(host, pts), p).ideal_points() == pts
+                    accepted += 1
+                else:
+                    with pytest.raises(NotAnIdeal):
+                        walk_of(IdealSet2(host, pts), p)
+        assert accepted == len(ideals)
 
 
 class TestBoundaryBijection:
