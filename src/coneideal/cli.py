@@ -102,15 +102,16 @@ def _engine(params: Params) -> tuple[Callable, str, Callable]:
     return enumerate_all_r1, "sym_layers", shell_points
 
 
-def points_renderer(n: int, points_of: Callable) -> Callable[[Sequence], str]:
-    """For one stream over the box {0..n}^3: the function that gives the
-    JSON text of a stack's sorted point list, the text of
-    ``json.dumps(sorted(stack_points(walks, points_of)))``.
+def points_renderer(n: int, points_of: Callable) -> Callable[..., Iterator[str]]:
+    """For one stream over the box {0..n}^3: the function of a group of
+    stacks ``before + (w,) + after``, w in walks, that yields for each w
+    the text of ``json.dumps(sorted(stack_points(stack, points_of)))``.
 
     Point (x, y, z) is coded as the integer (x*N + y)*N + z with N = n + 1,
     the index of its text in a table built here, so the codes sort in the
     order of the tuples.  Each distinct (index, walk) layer is turned into
-    codes once, and a line joins the table texts of its sorted codes."""
+    codes once, the shared layers' codes are joined once per group, and a
+    line joins the table texts of its sorted codes."""
     size = n + 1
     side = range(size)
     texts = [f"[{x}, {y}, {z}]" for x in side for y in side for z in side]
@@ -119,9 +120,11 @@ def points_renderer(n: int, points_of: Callable) -> Callable[[Sequence], str]:
     def codes(j: int, w) -> frozenset[int]:
         return frozenset([(x * size + y) * size + z for x, y, z in points_of(j, w)])
 
-    def render(walks: Sequence) -> str:
-        union = frozenset().union(*map(codes, range(len(walks)), walks))
-        return "[" + ", ".join([texts[c] for c in sorted(union)]) + "]"
+    def render(before: Sequence, walks, after: Sequence) -> Iterator[str]:
+        j, stack = len(before), enumerate((*before, None, *after))
+        base = frozenset().union(*[codes(k, w) for k, w in stack if k != j])
+        for w in walks:
+            yield "[" + ", ".join([texts[c] for c in sorted(base | codes(j, w))]) + "]"
 
     return render
 
@@ -138,11 +141,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     head = json.dumps({"p": params.p, "m": params.m, "r": params.r, key: []})[:-2]
     points = points_renderer(params.n, points_of) if args.format == "points" else None
     with _emit(args) as out:
-        for walks in search(params, mode="stream", shards=shards):
-            line = head + ", ".join([w.json_text for w in walks]) + "]"
+        # the stacks of a group share all walks but the new one
+        for before, walks, after in search(params, mode="groups", shards=shards):
+            left = head + "".join([w.json_text + ", " for w in before])
+            right = "".join([", " + w.json_text for w in after]) + "]"
             if points:
-                line += ', "points": ' + points(walks)
-            out.write(line + "}\n")
+                for w, text in zip(walks, points(before, walks, after)):
+                    out.write(f'{left}{w.json_text}{right}, "points": {text}}}\n')
+            elif walks:
+                right += "}\n"
+                body = (right + left).join([w.json_text for w in walks])
+                out.write("".join([left, body, right]))
     return 0
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from itertools import groupby
 from typing import (
     Any, Callable, Hashable, Iterable, Iterator, Literal, Optional, Sequence, TypeVar
 )
@@ -217,13 +218,13 @@ def depth_first(
     choices: Callable[..., Iterable[Walk]],
     child: Callable[[int, State, Walk], State],
     count_of: Callable[..., int],
-    mode: Literal["count", "stream"],
+    mode: Literal["count", "stream", "groups"],
     shards: Optional[tuple[int, int]],
     window: Callable[[int, State], Hashable],
     slide: Optional[Callable[[int, Hashable, Walk], Hashable]] = None,
 ):
-    """The search shared by both engines: count or stream the leaves of a
-    depth-first tree whose levels are 0..last.
+    """The search shared by both engines: count the leaves of a depth-first
+    tree whose levels are 0..last, or stream them grouped by parent.
 
     A node at a level has the window ``window(depth, state)`` and the key
     ``interval(depth, window)`` of its choices: the key sees the window,
@@ -231,13 +232,14 @@ def depth_first(
     key.  Each engine reads the window through a view of a node whose other
     slots are None, so bounds that read past a window raise.
     ``choices(*key)`` lists a node's choices in stream order, and its
-    children are ``child(depth, state, w)`` for each listed w.  A stream
-    yields the states reached below level ``last``.  A count stops one
-    level early: ``count_of(*key)`` counts the choices of a node at level
-    ``last`` without listing them.  With ``shards = (index, total)`` the
-    tree is first expanded breadth-first until a level holds at least
-    4 * total nodes (or the leaves are reached), and only the nodes of that
-    level at positions congruent to index modulo total are explored.
+    children are ``child(depth, state, w)`` for each listed w.  Both modes
+    stop at level ``last`` and build no leaf: a stream (any mode but
+    "count") yields each node of that level with its memoized listing, and
+    a count sums ``count_of(*key)``, the number of such a node's choices.
+    With ``shards = (index, total)`` the tree is first expanded breadth-first
+    until a level holds at least 4 * total nodes, and only the nodes of that
+    level at positions congruent to index modulo total are explored; if
+    level ``last`` holds fewer, its (state, w) pairs are split so instead.
 
     Given ``slide`` as well, ``slide(depth, window, w)`` is the window of
     ``child(depth, state, w)``; nodes of one level with equal windows then
@@ -292,12 +294,16 @@ def depth_first(
     depth, level = 0, [root]
     if shards is not None:
         index, total = shards
-        while len(level) < 4 * total and depth <= last:
+        while len(level) < 4 * total and depth < last:
             level = list(expand(depth, level))
             depth += 1
+        if len(level) < 4 * total:  # split the leaves, as (state, w) pairs
+            pairs = [(s, w) for s in level for w in listing(last, s)][index::total]
+            if mode == "count":
+                return len(pairs)
+            runs = groupby(pairs, lambda pair: pair[0])  # regrouped by state
+            return ((s, tuple(w for _, w in run)) for s, run in runs)
         level = level[index::total]
-    if mode == "count" and depth > last:
-        return len(level)
     if mode == "count" and slide is not None:
         merged: dict[Hashable, int] = {}  # window -> the nodes that have it
         for state in level:
@@ -317,23 +323,25 @@ def depth_first(
     # chained generators walk the tree depth-first; no function refers to
     # itself, so the memos are freed as soon as the search is dropped
     nodes = iter(level)
-    for d in range(depth, last if mode == "count" else last + 1):
+    for d in range(depth, last):
         nodes = expand(d, nodes)
     if mode == "count":
         count = by_window(counted)
         return sum(count(last, state) for state in nodes)
-    return nodes
+    return ((state, listing(last, state)) for state in nodes)
 
 
 def enumerate_all_r3(
     params: Params,
-    mode: Literal["count", "stream"] = "count",
+    mode: Literal["count", "stream", "groups"] = "count",
     direction: Direction = "backward",
     shards: Optional[tuple[int, int]] = None,
 ):
     """Count or stream every 3D ideal of the box, layer by layer.
 
-    Stream mode yields tuples of walks indexed by z = 0..n.  With
+    Stream mode yields tuples of walks indexed by z = 0..n.  Groups mode
+    yields, per last-level node, (before, walks, after): the stacks
+    before + (w,) + after for w in walks, layer 0 new going backward.  With
     ``shards = (index, total)`` only one shard of the search tree is
     explored (see :func:`depth_first`).  The bounds of layer i read only
     the p layers next to it on the assigned side, so a stream lists the
@@ -368,10 +376,15 @@ def enumerate_all_r3(
         # the window of the child that assigns w to layer i
         return window(depth + 1, child(depth, win, w))
 
-    return depth_first(
+    found = depth_first(
         (), params.n, interval, enumerate_interval, child, count_interval,
         mode, shards, window, slide,
     )
+    if mode == "count":
+        return found
+    if mode == "groups":
+        return (((), ws, node) if backward else (node, ws, ()) for node, ws in found)
+    return (child(params.n, node, w) for node, ws in found for w in ws)
 
 
 def layer_points(z: int, w: Walk) -> frozenset[Point3]:

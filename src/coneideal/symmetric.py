@@ -182,7 +182,7 @@ def count_layer_sym(i: int, s_walk: Walk, t_walk: Walk, params: Params) -> int:
 
 def enumerate_all_r1(
     params: Params,
-    mode: Literal["count", "stream"] = "count",
+    mode: Literal["count", "stream", "groups"] = "count",
     shards: Optional[tuple[int, int]] = None,
 ):
     """Count or stream every rotation-invariant ideal of the box.
@@ -193,7 +193,8 @@ def enumerate_all_r1(
     The bounds of shell i read only its last p sections, so the search
     computes them once per distinct window of those; it merges no nodes,
     so every node still builds and checks all its sections.
-    Stream mode yields the tuples of shell walks (W_0, ..., W_n);
+    Stream mode yields the tuples of shell walks (W_0, ..., W_n), groups
+    mode them as (before, walks, ()): the tuples before + (w,), w in walks.
     ``shards`` works as in :func:`coneideal.slicing.depth_first`.
     """
     n, p = params.n, params.p
@@ -204,11 +205,8 @@ def enumerate_all_r1(
         return (depth, *symmetric_bounds(depth, cum, params))
 
     def child(depth: int, node: tuple, w: Walk) -> tuple:
-        walks, sections = node
-        # a leaf's sections would bound nothing
-        if depth < n:
-            sections = _with_shell(sections, w, built)
-        return walks + (w,), sections
+        walks, sections = node  # never a leaf, whose sections would bound nothing
+        return walks + (w,), _with_shell(sections, w, built)
 
     def window(depth: int, node: tuple) -> tuple[Walk, ...]:
         # the sections the forward rule reads; the child's sections are new
@@ -220,4 +218,8 @@ def enumerate_all_r1(
     found = depth_first(
         ((), ()), n, interval, choices, child, count_of, mode, shards, window
     )
-    return found if mode == "count" else (walks for walks, _ in found)
+    if mode == "count":
+        return found
+    if mode == "groups":
+        return ((walks, ws, ()) for (walks, _), ws in found)
+    return (walks + (w,) for (walks, _), ws in found for w in ws)

@@ -233,6 +233,9 @@ def test_canonical_stream(capsys, p, m, r, lines, jsonl_sha, points_sha, fmt):
 RECORD_STREAMS = [
     (2, 6, 1, None), (3, 3, 3, None), (5, 3, 1, None), (2, 9, 3, (1, 4)),
     (3, 6, 1, (1, 4)),
+    # too few nodes above the leaves: the split is among the last level's
+    # (node, walk) pairs, and a node's listing may span two shards
+    (2, 3, 1, (1, 3)), (2, 3, 3, (5, 7)),
 ]
 
 
@@ -270,8 +273,9 @@ def test_points_text_two_digit_coordinates_r1():
     render = points_renderer(params.n, shell_points)
     stacks = list(itertools.islice(enumerate_all_r1(params, mode="stream"), 30))
     assert len(stacks) == 30
-    for walks in stacks:
-        assert render(walks) == json.dumps(sorted(stack_points(walks, shell_points)))
+    for walks in stacks:  # a group of r = 1 stacks differs in the last shell
+        (text,) = render(walks[:-1], walks[-1:], ())
+        assert text == json.dumps(sorted(stack_points(walks, shell_points)))
 
 
 def test_points_text_every_box_point():
@@ -280,7 +284,9 @@ def test_points_text_every_box_point():
     walks = (full,) * (params.n + 1)
     expected = json.dumps(sorted(stack_points(walks, layer_points)))
     assert len(json.loads(expected)) == 11 ** 3
-    assert points_renderer(params.n, layer_points)(walks) == expected
+    render = points_renderer(params.n, layer_points)
+    for j in range(params.n + 1):  # the new layer of a group in any place
+        assert list(render(walks[:j], walks[j : j + 1], walks[j + 1 :])) == [expected]
 
 
 def test_reader_closing_the_pipe_exits_quietly():

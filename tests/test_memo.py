@@ -7,9 +7,10 @@ last-level key counted exactly once per count; equal listed walks are one
 object.  A key is a function of a node's window alone (the neighbouring
 layers for r = 3, the last p cross sections for r = 1) and is computed
 once per distinct (level, window).  Streams and r = 1 counts still visit,
-and for r = 1 build and check, every node; an r = 3 count carries only
-the number of nodes of each window and builds no node below the levels a
-sharded search expands.  The memos live for one search: answers do not
+and for r = 1 build and check, every node above the leaves; the CLI's
+stream builds no leaf.  An r = 3 count carries only the number of nodes
+of each window and builds no node below the levels a sharded search
+expands.  The memos live for one search: answers do not
 depend on what ran before, every search starts with empty transport
 memos, and no walk a search built (with its cached JSON text) outlives it.
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from coneideal import slicing, symmetric
+from coneideal import cli, slicing, symmetric
 from coneideal.errors import InconsistentInput
 from coneideal.order import Params
 from coneideal.slicing import enumerate_all_r3
@@ -220,6 +221,19 @@ def test_r3_stream_bounds_once_per_window(monkeypatch, p, m, direction):
     # the nodes above the leaves; at p = 3, n = 2 each is its own window
     visited = {(2, 9): (1526, 7028), (3, 3): (196, 196)}[p, m]
     assert (sum(calls.values()), sum(nodes.values())) == visited
+
+
+def test_cli_stream_builds_no_leaf(monkeypatch, tmp_path):
+    # the CLI writes each last-level node's listing as one group: the
+    # (2,9,3) stream builds the 7 027 nodes below the root and none of its
+    # 38 562 leaves (45 589 children when each leaf was a tuple)
+    children = []
+    _spy_children(monkeypatch, children)
+    target = tmp_path / "stream.jsonl"
+    argv = ["enumerate", "--p", "2", "--m", "9", "--r", "3", "--emit", str(target)]
+    assert cli.main(argv) == 0
+    assert len(children) == 7027
+    assert target.read_bytes().count(b"\n") == 38562
 
 
 @pytest.mark.parametrize("direction", ["backward", "forward"])

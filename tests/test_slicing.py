@@ -422,3 +422,39 @@ def test_shards_split_both_engines(p, m, r):
         union = [ws for s in streams for ws in s]
         assert len(set(union)) == len(union)
         assert set(union) == set(whole)
+
+
+# (p, m, r, direction, shards): streams whose groups are compared with the
+# flat stream; at (2,3,1) with 3 shards and (2,3,3) with 7 the breadth-first
+# expansion reaches the leaves, and the split is made among the last level's
+# (node, walk) pairs
+GROUPED = [
+    (2, 6, 3, "backward", None), (2, 6, 3, "forward", None),
+    (2, 6, 3, "backward", 4), (2, 6, 3, "forward", 4),
+    (2, 3, 3, "backward", 7), (2, 3, 3, "forward", 7),
+    (2, 9, 1, None, None), (2, 9, 1, None, 4), (2, 3, 1, None, 3),
+]
+
+
+@pytest.mark.parametrize("p,m,r,direction,shards", GROUPED)
+def test_stream_is_the_flattened_groups(p, m, r, direction, shards):
+    params = Params(p=p, m=m, r=r)
+    if r == 3:
+        search = functools.partial(enumerate_all_r3, direction=direction)
+    else:
+        search = enumerate_all_r1
+    parts = [None] if shards is None else [(i, shards) for i in range(shards)]
+    sizes = []
+    for part in parts:
+        stream = list(search(params, mode="stream", shards=part))
+        groups = list(search(params, mode="groups", shards=part))
+        assert stream == [b + (w,) + a for b, ws, a in groups for w in ws]
+        # a group holds one node's layers, on the side the search grew from:
+        # going backward the new layer is layer 0, else it is layer n
+        for before, _, after in groups:
+            assert len(before) + len(after) == params.n
+            assert (before if direction == "backward" else after) == ()
+        sizes.append(len(stream))
+    assert sum(sizes) == search(params, mode="count")
+    if (p, m) == (2, 3):  # the leaves split by position: sizes differ by one
+        assert sizes == {1: [2, 2, 1], 3: [3] * 6 + [2]}[r]
