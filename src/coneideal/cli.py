@@ -51,6 +51,7 @@ EXIT_CAP = 3
 EXIT_NOT_IDEAL = 4
 EXIT_VERIFY_FAILED = 5
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a process killed by it
+EMIT_BUFFER = 1 << 20  # bytes: a large stream reaches its file in few writes
 
 
 class _CliError(Exception):
@@ -78,7 +79,7 @@ def _emit(args: argparse.Namespace) -> Iterator[TextIO]:
         yield sys.stdout
         return
     try:
-        out = open(args.emit, "w", encoding="utf-8")
+        out = open(args.emit, "w", encoding="utf-8", buffering=EMIT_BUFFER)
     except OSError as exc:
         raise _CliError(EXIT_BAD_PARAMS, f"cannot write {args.emit}: {exc}")
     with out:

@@ -136,54 +136,60 @@ def forward_bounds(i: int, seq: LayerSequence, params: Params) -> tuple[Walk, Wa
     return forward_interval(i, seq.walks, square_host(params.n), params.p)
 
 
-def _profile_choices(
-    x_rel: int,
-    prev: Optional[int],
-    lo: tuple[int, ...],
-    hi: tuple[int, ...],
-    host: Rect,
-    p: int,
-    back: Optional[int],
-) -> range:
-    """Admissible heights for one column given the previous column and the
-    column ``back`` p places to the left (None near the left edge).  No run
-    below the top edge is wider than p columns, so while ``back`` is below
-    the top edge the column is lower than ``back`` or empty."""
-    c = host.c
-    p2 = p * p
-    vmin = lo[x_rel]
-    vmax = hi[x_rel]
-    if prev is not None:
-        vmax = min(vmax, prev)
-        if prev - p2 >= c:
-            vmin = max(vmin, prev - p2)
-    if back is not None and back < host.d:
-        vmax = min(vmax, max(back, c) - 1)
-    return range(vmin, vmax + 1)
+class _ColumnRule(dict):
+    """The admissible heights of one column of a sweep between two walks,
+    keyed on the heights (prev, back) of the previous column and of the one
+    p places to the left (None near the left edge), each worked out on its
+    first lookup.  They lie in [lo, hi], at most prev and at least
+    prev - p^2.  No run below the top edge is wider than p columns, so
+    while ``back`` is below the top edge the column is lower or empty."""
+
+    __slots__ = ("lo", "hi", "c", "d", "p2")
+
+    def __init__(self, lo: int, hi: int, host: Rect, p: int):
+        super().__init__()
+        self.lo, self.hi, self.c, self.d, self.p2 = lo, hi, host.c, host.d, p * p
+
+    def __missing__(self, key: tuple[Optional[int], Optional[int]]) -> range:
+        prev, back = key
+        vmin, vmax = self.lo, self.hi
+        if prev is not None:
+            vmax = prev if prev < vmax else vmax
+            vmin = prev - self.p2 if prev - self.p2 > vmin else vmin
+        if back is not None and back < self.d and back <= vmax:
+            vmax = max(back, self.c) - 1
+        found = self[key] = range(vmin, vmax + 1)
+        return found
 
 
-def enumerate_interval(lower: Walk, upper: Walk) -> Iterator[Walk]:
-    """Every walk between lower and upper, in column-height lex order.
-
-    The height profiles grow one column at a time, each prefix extended
-    by its admissible heights in increasing order, so the list stays in
-    lex order.  Each column choice keeps the profile closed, so the walks
-    are built from their heights without re-validation.
-    """
-    if not walk_leq(lower, upper):
-        raise BoundsInverted(f"heights {lower.hs} above {upper.hs}")
+def column_rules(lower: Walk, upper: Walk) -> list[_ColumnRule]:
+    """The rules of the columns of one sweep between lower and upper."""
     host, p = lower.host, lower.p
-    lo, hi = lower.hs, upper.hs
-    profiles: list[tuple[int, ...]] = [()]
-    for x in range(host.width):
+    return [_ColumnRule(lo, hi, host, p) for lo, hi in zip(lower.hs, upper.hs)]
+
+
+def sweep_profiles(rules: Sequence[_ColumnRule], p: int) -> list[tuple[int, ...]]:
+    """Every height profile the column rules admit, in lex order: each
+    prefix is extended by its admissible heights in increasing order, and
+    each choice keeps the profile closed."""
+    profiles = [(v,) for v in rules[0][None, None]]
+    for x in range(1, len(rules)):
+        rule, back = rules[x], x - p
         profiles = [
             hs + (v,)
             for hs in profiles
-            for v in _profile_choices(
-                x, hs[-1] if x else None, lo, hi, host, p, hs[x - p] if x >= p else None
-            )
+            for v in rule[hs[-1], hs[back] if back >= 0 else None]
         ]
-    for hs in profiles:
+    return profiles
+
+
+def enumerate_interval(lower: Walk, upper: Walk) -> Iterator[Walk]:
+    """Every walk between lower and upper, in column-height lex order, built
+    from the closed profiles of :func:`sweep_profiles` without re-validation."""
+    if not walk_leq(lower, upper):
+        raise BoundsInverted(f"heights {lower.hs} above {upper.hs}")
+    host, p = lower.host, lower.p
+    for hs in sweep_profiles(column_rules(lower, upper), p):
         yield Walk(host, p, hs)
 
 
@@ -193,15 +199,12 @@ def count_interval(lower: Walk, upper: Walk) -> int:
     in it (the admissible heights of a column depend on those alone)."""
     if not walk_leq(lower, upper):
         raise BoundsInverted(f"heights {lower.hs} above {upper.hs}")
-    host, p = lower.host, lower.p
-    lo, hi = lower.hs, upper.hs
-    ways: dict[tuple[int, ...], int] = {(): 1}
-    for x in range(host.width):
-        folded: dict[tuple[int, ...], int] = {}
+    p, rules = lower.p, column_rules(lower, upper)
+    ways = {(v,): 1 for v in rules[0][None, None]}
+    for x in range(1, len(rules)):
+        rule, folded = rules[x], {}
         for last, times in ways.items():
-            prev = last[-1] if x else None
-            back = last[0] if x >= p else None
-            for v in _profile_choices(x, prev, lo, hi, host, p, back):
+            for v in rule[last[-1], last[0] if x >= p else None]:
                 key = (last + (v,))[-p:]
                 folded[key] = folded.get(key, 0) + times
         ways = folded

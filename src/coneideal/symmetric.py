@@ -9,35 +9,25 @@ of [0,i-1]^2, which the search carries down: each chosen layer updates
 them in one step read off its heights, and each distinct section is built
 and checked once per search.  The forward rule of the plain layers
 (:func:`coneideal.slicing.forward_interval`) applied to those sections
-puts the admissible J_i between two walks S and T.  The choice
-further splits by how far J_i reaches into the last two columns (no reach /
-column i-1 only / column i).  Each reach case is a fixed walk pair (L, U)
-that depends only on i and p, built once per shell; at a search node the
-case's layers are the plain walk interval [S v L, T ^ U].
+puts the admissible J_i between two walks S and T.  A reach rule on how
+far J_i reaches into its last two columns picks the layers among them; it
+reads only column i and counts of the columns before it, so the layers
+are one column sweep of [S, T] that applies the rule at column i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
-from typing import Iterator, Literal, Optional, Sequence
+from functools import partial, reduce
+from typing import Literal, Optional, Sequence
 
 from .errors import InconsistentInput, NotAnIdeal
-from .order import Params, Point2, Point3, rotate
+from .order import Params, Point3, rotate
 from .slicing import (
-    count_interval, depth_first, enumerate_interval, forward_interval, square_host,
-    stack_points,
+    column_rules, depth_first, forward_interval, square_host, stack_points,
+    sweep_profiles,
 )
-from .walks import (
-    Walk,
-    empty_walk,
-    join,
-    largest_avoiding,
-    meet,
-    smallest_containing,
-    walk_from_heights,
-    walk_leq,
-)
+from .walks import Walk, walk_from_heights
 
 
 @dataclass
@@ -113,71 +103,65 @@ def symmetric_bounds(i: int, cum: Sequence[Walk], params: Params) -> tuple[Walk,
     return forward_interval(i, cum, square_host(i), params.p)
 
 
-@lru_cache(maxsize=None)
-def _reach_cases(i: int, p: int) -> tuple[tuple[Walk, Walk], ...]:
-    """Fixed walk pairs (L, U) of shell i, one per reach case of a layer.
-
-    A layer J of [0,i]^2 is in a case exactly when L <= J <= U: J stops
-    before column i-1 (L empty); or J ends in column i-1 at height v and,
-    once i >= p, holds (v, i-p); or J reaches column i at height u and its
-    top row to column u (the palindrome condition).  The cases are disjoint.
-    """
-    host = square_host(i)
-
-    def low(*pts: Point2) -> Walk:
-        return smallest_containing(list(pts), host, p)
-
-    def high(*pts: Point2) -> Walk:
-        return largest_avoiding(list(pts), host, p)
-
-    cases = [(empty_walk(host, p), high((0, i), (i - 1, 0)))]
-    for v in range(i + 1):
-        lower = low((i - 1, v), (v, i - p)) if i >= p else low((i - 1, v))
-        cases.append((lower, high((0, i), (i, 0), (i - 1, v + 1))))
-    for u in range(i + 1):
-        cases.append((low((u, i), (i, u)), high((u + 1, i), (i, u + 1))))
-    # L <= U drops the heights v with p v > (p - 1) i, where L holds (0, i),
-    # and v >= p^2, where L reaches column i
-    return tuple((lo, hi) for lo, hi in cases if walk_leq(lo, hi))
-
-
-def _layer_intervals(
-    i: int, s_walk: Walk, t_walk: Walk, p: int
-) -> Iterator[tuple[Walk, Walk]]:
-    """Disjoint nonempty walk intervals covering the consistent shell-i
-    layers: [S v L, T ^ U] for each reach case (L, U) of the forward
-    interval [S, T].  As L <= U, it is nonempty exactly when S <= T,
-    S <= U and L <= T.  Shell 0 has no reach cases: its interval is
-    [S, T] itself, the empty and the full layer of [0,0]^2."""
-    if not walk_leq(s_walk, t_walk):
-        return
-    if i == 0:
-        yield s_walk, t_walk
-        return
-    for lower, upper in _reach_cases(i, p):
-        if walk_leq(s_walk, upper) and walk_leq(lower, t_walk):
-            yield join(s_walk, lower), meet(t_walk, upper)
+def _reach_heights(i: int, allowed: range, k: int, edge: bool) -> tuple[int, ...]:
+    """The heights of column i of a shell-i layer, among those ``allowed`` by
+    the column rule, that the reach rule keeps, given that k of the first i
+    columns h[0..i-1] are at height i.  h[i] = u >= 0 needs h[u] = i and
+    (u = i or h[u + 1] < i), the palindrome condition: u = k - 1, or u = i
+    when k = i.  An empty column i needs k = 0 and ``edge``: v < 0 or
+    i < p or h[v] >= i - p (the point (v, i - p)), where v = h[i - 1]."""
+    if k == 0:
+        return (-1,) if edge and -1 in allowed else ()
+    return tuple(u for u in ((k - 1, i) if k == i else (k - 1,)) if u in allowed)
 
 
 def enumerate_layer_sym(
     i: int, s_walk: Walk, t_walk: Walk, params: Params
 ) -> list[Walk]:
     """All consistent shell-i layers, sorted by column heights: a function
-    of the forward interval [S, T] of :func:`symmetric_bounds` alone."""
-    out = [
-        w
-        for lower, upper in _layer_intervals(i, s_walk, t_walk, params.p)
-        for w in enumerate_interval(lower, upper)
-    ]
-    out.sort(key=lambda w: w.hs)
+    of the forward interval [S, T] of :func:`symmetric_bounds` alone.  One
+    column sweep of [S, T], whose last column keeps the heights of
+    :func:`_reach_heights`; shell 0 keeps all of [S, T]."""
+    host, p = s_walk.host, params.p
+    rules = column_rules(s_walk, t_walk)
+    if i == 0:
+        return [Walk(host, p, hs) for hs in sweep_profiles(rules, p)]
+    last, edge_row, out = rules[i], i - p, []
+    for hs in sweep_profiles(rules[:i], p):
+        k, v = hs.count(i), hs[-1]  # v <= h[0] < i when k = 0
+        edge = not k and (v < 0 or edge_row < 0 or hs[v] >= edge_row)
+        allowed = last[v, hs[edge_row] if edge_row >= 0 else None]
+        for u in _reach_heights(i, allowed, k, edge):
+            out.append(Walk(host, p, hs + (u,)))
     return out
 
 
 def count_layer_sym(i: int, s_walk: Walk, t_walk: Walk, params: Params) -> int:
     """Number of consistent shell-i layers, a function of the forward
-    interval [S, T] of :func:`symmetric_bounds` alone."""
-    intervals = _layer_intervals(i, s_walk, t_walk, params.p)
-    return sum(count_interval(lo, hi) for lo, hi in intervals)
+    interval [S, T] of :func:`symmetric_bounds` alone: one count sweep.
+    Its state is the last p heights (the last one while i < p, as no column
+    then reads back) and two counters: the columns at height i and those at
+    height >= i - p.  The heights do not increase, so h[v] >= i - p holds
+    exactly when more than v columns are that high."""
+    p = params.p
+    rules = column_rules(s_walk, t_walk)
+    if i == 0:
+        return len(rules[0][None, None])
+    keep, edge_row = p if i >= p else 1, i - p
+    ways = {((v,), v == i, v >= edge_row): 1 for v in rules[0][None, None]}
+    for x in range(1, i):
+        rule, folded = rules[x], {}
+        for (hs, k, high), times in ways.items():
+            for v in rule[hs[-1], hs[0] if x >= p else None]:
+                key = ((hs + (v,))[-keep:], k + (v == i), high + (v >= edge_row))
+                folded[key] = folded.get(key, 0) + times
+        ways = folded
+    last, total = rules[i], 0
+    for (hs, k, high), times in ways.items():
+        allowed = last[hs[-1], hs[0] if i >= p else None]
+        edge = hs[-1] < 0 or edge_row < 0 or high > hs[-1]
+        total += times * len(_reach_heights(i, allowed, k, edge))
+    return total
 
 
 def enumerate_all_r1(

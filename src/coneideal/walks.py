@@ -25,7 +25,6 @@ extensions to a bigger rectangle are the zero shifts of the transports.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Literal, NamedTuple
@@ -115,8 +114,10 @@ class Walk(_WalkFields):
 
     @cached_property
     def json_text(self) -> str:
-        """``json.dumps(self.to_obj())``, encoded once per walk."""
-        return json.dumps(self.to_obj())
+        """The text of ``json.dumps(self.to_obj())``, formatted once per walk."""
+        a, b, c, d = self.host
+        points = ", ".join([f"[{x}, {y}]" for x, y in self.points])
+        return f'{{"host": [{a}, {b}, {c}, {d}], "points": [{points}]}}'
 
 
 def walk_from_heights(hs: tuple[int, ...], host: Rect, p: int) -> Walk:

@@ -12,7 +12,9 @@ fast paths: the direct consistency tests of a candidate layer
 (:func:`is_consistent_backward`, :func:`is_consistent_forward`,
 :func:`is_consistent_sym` with :func:`is_palindromic`), the point-set cross
 sections :func:`accumulate_layers` and the reach classes
-:func:`classify_reach` of the shells, and the per-height point counts
+:func:`classify_reach` of the shells with the reach-case walk intervals
+(:func:`reach_cases`, :func:`reach_case_layers`) that referee the reach rule
+of the shell layers, and the per-height point counts
 :func:`layer_counts`; the planar order predicate (:func:`precedes2`) and the
 generic-e, cross-section and rational-anchor forms of the order
 (:func:`precedes_generic`, :func:`section_precedes`,
@@ -54,6 +56,7 @@ from coneideal.fields import SmallField
 from coneideal.order import Params, Point2, Point3, precedes3, rotate
 from coneideal.slicing import (
     LayerSequence,
+    enumerate_interval,
     nonempty_lookahead,
     nonfull_lookback,
     square_host,
@@ -63,9 +66,14 @@ from coneideal.walks import (
     IdealSet2,
     Rect,
     Walk,
+    empty_walk,
     highest_extension,
     ideal_transport,
+    join,
+    largest_avoiding,
     lowest_extension,
+    meet,
+    smallest_containing,
     walk_leq,
     walk_of,
 )
@@ -467,6 +475,52 @@ def is_palindromic(w: Walk, i: int) -> bool:
     top = max((x for x in range(i + 1) if hs[x] == i), default=-1)
     right = hs[i] if hs[i] >= 0 else -1
     return top == right
+
+
+def reach_cases(i: int, p: int) -> tuple[tuple[Walk, Walk], ...]:
+    """Fixed walk pairs (L, U) of shell i >= 1, one per reach case of a
+    layer: the referee of the reach rule of
+    :func:`coneideal.symmetric.enumerate_layer_sym`.
+
+    A layer J of [0,i]^2 is in a case exactly when L <= J <= U: J stops
+    before column i-1 (L empty); or J ends in column i-1 at height v and,
+    once i >= p, holds (v, i-p); or J reaches column i at height u and its
+    top row to column u (the palindrome condition).  The cases are
+    disjoint; the ones with L > U hold no layer and are left out.
+    """
+    host = square_host(i)
+
+    def low(*pts: Point2) -> Walk:
+        return smallest_containing(list(pts), host, p)
+
+    def high(*pts: Point2) -> Walk:
+        return largest_avoiding(list(pts), host, p)
+
+    cases = [(empty_walk(host, p), high((0, i), (i - 1, 0)))]
+    for v in range(i + 1):
+        lower = low((i - 1, v), (v, i - p)) if i >= p else low((i - 1, v))
+        cases.append((lower, high((0, i), (i, 0), (i - 1, v + 1))))
+    for u in range(i + 1):
+        cases.append((low((u, i), (i, u)), high((u + 1, i), (i, u + 1))))
+    return tuple((lo, hi) for lo, hi in cases if walk_leq(lo, hi))
+
+
+def reach_case_layers(i: int, s_walk: Walk, t_walk: Walk, p: int) -> list[Walk]:
+    """The shell-i layers of the forward interval [S, T] that the reach
+    cases hold, sorted by column heights: the union of the walk intervals
+    [S v L, T ^ U] over the cases (L, U) of :func:`reach_cases`.  Shell 0
+    has no reach cases and keeps [S, T] itself."""
+    if not walk_leq(s_walk, t_walk):
+        return []
+    if i == 0:
+        return list(enumerate_interval(s_walk, t_walk))
+    out = [
+        w
+        for lower, upper in reach_cases(i, p)
+        if walk_leq(s_walk, upper) and walk_leq(lower, t_walk)
+        for w in enumerate_interval(join(s_walk, lower), meet(t_walk, upper))
+    ]
+    return sorted(out, key=lambda w: w.hs)
 
 
 def accumulate_layers(seq: SymLayerSequence, i: int) -> list[IdealSet2]:

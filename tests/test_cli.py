@@ -22,7 +22,7 @@ from coneideal.symmetric import (
     enumerate_all_r1,
     shell_points,
 )
-from coneideal.walks import full_walk
+from coneideal.walks import empty_walk, full_walk
 
 from conftest import EXAMPLE_DEFINING, EXAMPLE_IDEAL
 from oracle import layer_counts
@@ -138,6 +138,32 @@ class TestEnumerate:
         )
         assert code == 0 and out == ""
         assert len(target.read_text().splitlines()) == 5
+
+    def test_emit_spans_many_buffer_flushes(self, capsys, tmp_path):
+        # the pinned (2,9,3) stream is 11.6 MB, many times the --emit buffer
+        target = tmp_path / "out.jsonl"
+        code, out, _ = run(
+            capsys,
+            "enumerate", "--p", "2", "--m", "9", "--r", "3", "--emit", str(target),
+        )
+        assert code == 0 and out == ""
+        data = target.read_bytes()
+        assert len(data) > 8 * cli.EMIT_BUFFER
+        assert data.count(b"\n") == 38562
+        assert hashlib.sha256(data).hexdigest() == (
+            "bf95e172d5d6875d823ecf50a24817fd7d7f81df875291a1cd1110a223d63be8"
+        )
+
+    @pytest.mark.parametrize("p,m,r", [(2, 15, 1), (2, 9, 3)])
+    def test_walk_texts_equal_json_dumps(self, p, m, r):
+        params = Params(p=p, m=m, r=r)
+        search, _, _ = _engine(params)
+        walks = {w for leaf in search(params, mode="stream") for w in leaf}
+        host = square_host(params.n)
+        walks |= {empty_walk(host, p), full_walk(host, p)}
+        assert len(walks) > 50  # 305 at (2,15,1), 55 at (2,9,3)
+        for w in walks:
+            assert w.json_text == json.dumps(w.to_obj())
 
     def test_count_only_emit_to_file(self, capsys, tmp_path):
         target = tmp_path / "count.txt"

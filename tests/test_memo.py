@@ -403,11 +403,11 @@ def test_r1_stream_lists_each_interval_once(monkeypatch, p, m):
     count = enumerate_all_r1(params, mode="count")
     bounds, listed = [], []
     _spy(monkeypatch, symmetric, "symmetric_bounds", bounds)
-    _spy(monkeypatch, symmetric, "_layer_intervals", listed)
+    _spy(monkeypatch, symmetric, "enumerate_layer_sym", listed)
     assert sum(1 for _ in enumerate_all_r1(params, mode="stream")) == count
     keys = [(i, *st) for (i, _, _), st in bounds]
     assert len(listed) == len(set(keys)) < len(keys)
-    assert [args[:3] for args, _ in listed] == list(dict.fromkeys(keys))
+    assert [args for args, _ in listed] == list(dict.fromkeys(keys))
 
 
 def _walk_stream(inst, shards=None):
@@ -451,14 +451,13 @@ def _live_walks():
 @pytest.mark.parametrize("inst", [(2, 12, 1), (2, 9, 3)])
 def test_no_walk_outlives_its_stream(inst):
     # walks are tuples, which take no weak reference, so count the live
-    # ones among the objects the collector tracks.  The module-level tables
-    # are the transport memos, which the next search empties, and the reach
-    # cases, which are fixed per shell.  The collector stays off, so the
-    # search's memos must not sit in a reference cycle.
+    # ones among the objects the collector tracks.  The only module-level
+    # tables are the transport memos, which the next search empties.  The
+    # collector stays off, so the search's memos must not sit in a
+    # reference cycle.
     def clear_module_memos():
         for memo in TRANSPORT_MEMOS:
             memo.cache_clear()
-        symmetric._reach_cases.cache_clear()
 
     clear_module_memos()
     gc.collect()

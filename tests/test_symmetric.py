@@ -11,7 +11,6 @@ from coneideal.order import Params
 from coneideal.slicing import enumerate_interval
 from coneideal.symmetric import (
     SymLayerSequence,
-    _reach_cases,
     accumulated_walks,
     assembled_points,
     count_layer_sym,
@@ -46,6 +45,7 @@ from oracle import (
     ideal_3d,
     is_consistent_sym,
     is_palindromic,
+    reach_case_layers,
     rotation_invariant_3d,
     walk_contains,
     walk_from_corners,
@@ -224,28 +224,20 @@ class TestClassifyReach:
 class TestReachCases:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_cases_partition_palindromic_layers(self, p):
+        params = Params(p=p, m=3, r=1)
         for i in range(1, 7):
             host = Rect(0, i, 0, i)
-            seen: dict = {}
-            labels = set()
-            for lower, upper in _reach_cases(i, p):
-                kind = classify_reach(lower, i)
-                col = i if kind is LayerReach.CORNER else i - 1
-                label = (kind, lower.hs[col] if kind is not LayerReach.INNER else None)
-                assert label not in labels, (p, i, label)
-                labels.add(label)
-                for w in enumerate_interval(lower, upper):
-                    assert w not in seen, (p, i, w.hs, seen.get(w), label)
-                    seen[w] = label
-                    assert classify_reach(w, i) is kind, (p, i, w.hs)
-                    if kind is not LayerReach.INNER:
-                        assert w.hs[col] == label[1], (p, i, w.hs)
-            # together the cases hold every palindromic layer, except the
-            # column-(i-1) layers at height v with p v > (p - 1) i or, once
-            # i >= p, without the point (v, i - p)
+            empty, full = empty_walk(host, p), full_walk(host, p)
+            listed = enumerate_layer_sym(i, empty, full, params)
+            keys = [w.hs for w in listed]
+            assert keys == sorted(set(keys)), (p, i)
+            assert count_layer_sym(i, empty, full, params) == len(listed), (p, i)
+            # the rule keeps every palindromic layer, except the column-(i-1)
+            # layers at height v with p v > (p - 1) i or, once i >= p,
+            # without the point (v, i - p)
             expected = {
                 w
-                for w in enumerate_interval(empty_walk(host, p), full_walk(host, p))
+                for w in enumerate_interval(empty, full)
                 if is_palindromic(w, i)
                 and (
                     classify_reach(w, i) is not LayerReach.EDGE
@@ -253,7 +245,28 @@ class TestReachCases:
                     and (i < p or walk_contains(w, (w.hs[i - 1], i - p)))
                 )
             }
-            assert set(seen) == expected, (p, i)
+            assert set(listed) == expected, (p, i)
+
+    @pytest.mark.parametrize("p,m", [(2, 15), (3, 6), (5, 3), (7, 3), (3, 9)])
+    def test_rule_equals_reach_case_intervals(self, monkeypatch, p, m):
+        # every key a count visits: the listings of the levels above the
+        # last and the counts of the last
+        params = Params(p=p, m=m, r=1)
+        bounds = []
+
+        def spy(i, cum, params):
+            found = symmetric_bounds(i, cum, params)
+            bounds.append((i, *found))
+            return found
+
+        monkeypatch.setattr(symmetric, "symmetric_bounds", spy)
+        enumerate_all_r1(params, mode="count")
+        keys = set(bounds)
+        assert len(keys) > 40
+        for i, s_walk, t_walk in keys:
+            truth = reach_case_layers(i, s_walk, t_walk, p)
+            assert enumerate_layer_sym(i, s_walk, t_walk, params) == truth
+            assert count_layer_sym(i, s_walk, t_walk, params) == len(truth)
 
 
 class TestSoundnessBeyondOracle:
