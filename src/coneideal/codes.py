@@ -13,7 +13,7 @@ constraint of s, so the coordinate rows of s span those of its whole orbit
 {s, s p^r, s p^{2r}, ...} (the trace description of subfield subcodes:
 Delsarte, IEEE Trans. IT 21, 1975).  The defining set of an invariant ideal
 is a union of such orbits, and only the least exponent of each is expanded.
-Rows are numpy arrays reduced with the subfield tables of
+Rows are numpy arrays of subfield indices, reduced with the tables of
 :class:`~coneideal.fields.Subfield`; invariance and the sum-zero property
 are each one matrix identity over GF(p^r) (:func:`_reduce_against`).
 """
@@ -116,13 +116,15 @@ def is_invariant_ideal(ideal: frozenset[Point3], params: Params) -> bool:
 @dataclass
 class CodeSpec:
     """A built code: defining data plus the reduced constraint system, whose
-    ``rref`` holds field encodings of GF(p^r) elements (rank x p^m)."""
+    ``rref`` holds field encodings of GF(p^r) elements (rank x p^m) and
+    ``coords`` their F_p-coordinates over the subfield basis (r x rank x p^m)."""
 
     params: Params
     ideal: frozenset[Point3]
     defining_count: int
     fld: SmallField = field(repr=False)
     rref: np.ndarray = field(repr=False)
+    coords: np.ndarray = field(repr=False)
     pivots: list[int] = field(repr=False)
 
     @property
@@ -154,26 +156,21 @@ def _power_row(fld: SmallField, s: int) -> np.ndarray:
 
 def _expand_rows(fld: SmallField, rows: Sequence[np.ndarray], r: int) -> np.ndarray:
     """Split GF(p^m)-valued rows into k/r coordinate rows over GF(p^r), as
-    field encodings, the k/r rows of each input row consecutive."""
-    sub = fld.subfield(r)
+    subfield indices, the k/r rows of each input row consecutive."""
     mat = np.array(rows, dtype=np.int64).reshape(len(rows), fld.order)
     coords = fld.fp_coordinates(mat, r).reshape(*mat.shape, fld.k // r, r)
-    sub_rows = sub.elements[sub.from_coords[coords @ fld.p ** np.arange(r)]]
+    sub_rows = fld.subfield(r).from_coords[coords @ fld.p ** np.arange(r)]
     return sub_rows.transpose(0, 2, 1).reshape(-1, fld.order)
 
 
-def _rref(
-    fld: SmallField, rows: np.ndarray, r: int
-) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p^r) of rows of its field encodings,
-    and the pivot columns.
+def _rref(sub: Subfield, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(p^r) of rows of subfield indices,
+    and the pivot columns; ``mat`` is reduced in place.
 
-    Elimination runs on subfield indices through the add/mul tables.  A
-    pivot updates only the rows nonzero in its column, and only from that
-    column on: the pivot row is zero before it.
+    Elimination runs through the add/mul tables.  A pivot updates only the
+    rows nonzero in its column, and only from that column on: the pivot row
+    is zero before it.
     """
-    sub = fld.subfield(r)
-    mat = sub.index(rows)
     pivots: list[int] = []
     for col in range(mat.shape[1]):
         rank = len(pivots)
@@ -190,19 +187,14 @@ def _rref(
         factor = sub.neg[mat[hit, col]]
         mat[hit, col:] = sub.add[mat[hit, col:], sub.mul[factor[:, None], prow]]
         pivots.append(col)
-    return sub.elements[mat[: len(pivots)]], pivots
-
-
-def _fp_coordinates(sub: Subfield, mat: np.ndarray) -> np.ndarray:
-    """F_p-coordinates of a matrix of subfield encodings: (r, rows, cols)."""
-    return sub.coords.T[:, sub.index(mat)]
+    return mat[: len(pivots)], pivots
 
 
 def _reduce_against(
     sub: Subfield, rref: np.ndarray, pivots: list[int], moved: np.ndarray
 ) -> np.ndarray:
     """The residue moved - moved[:, pivots] . rref over GF(p^r), all three on
-    F_p-coordinates (:func:`_fp_coordinates`).  It is zero exactly when every
+    F_p-coordinates as in ``CodeSpec.coords``.  It is zero exactly when every
     row of ``moved`` lies in the row space of the echelon form ``rref``.
     The product is r^2 integer matrix products mod p, combined by the
     structure constants of the coordinate basis.
@@ -227,24 +219,26 @@ def build_code(
     fld = shared_field(params.p, params.m, cap=cap_field)
     defining = preimage_list(ideal, params, cap=max(fld.order, DEFAULT_SCAN_CAP))
     rows = [_power_row(fld, s) for s in _orbit_leaders(defining, params)]
-    rref, pivots = _rref(fld, _expand_rows(fld, rows, params.r), params.r)
+    sub = fld.subfield(params.r)
+    mat, pivots = _rref(sub, _expand_rows(fld, rows, params.r))
     return CodeSpec(
         params=params,
         ideal=ideal,
         defining_count=preimage_count(ideal, params),
         fld=fld,
-        rref=rref,
+        rref=sub.elements[mat],
+        coords=sub.coords.T[:, mat],
         pivots=pivots,
     )
 
 
 def in_sum_zero_space(spec: CodeSpec) -> bool:
     """Whether every codeword has coordinate sum zero: the all-ones row lies
-    in the row space of the constraints."""
+    in the row space of the constraints.  The element 1 is index 1 of
+    every subfield."""
     sub = spec.fld.subfield(spec.params.r)
-    ones = _fp_coordinates(sub, np.ones((1, spec.fld.order), dtype=np.int64))
-    coords = _fp_coordinates(sub, spec.rref)
-    return not _reduce_against(sub, coords, spec.pivots, ones).any()
+    ones = sub.coords.T[:, np.ones((1, spec.fld.order), dtype=np.int64)]
+    return not _reduce_against(sub, spec.coords, spec.pivots, ones).any()
 
 
 # -- the affine group action --
@@ -291,8 +285,7 @@ def verify_invariance(spec: CodeSpec, gens: list[tuple[int, ...]]) -> bool:
     X == X[:, pivots] . rref over GF(p^r) (:func:`_reduce_against`).
     """
     sub = spec.fld.subfield(spec.params.r)
-    coords = _fp_coordinates(sub, spec.rref)
     return not any(
-        _reduce_against(sub, coords, spec.pivots, coords[:, :, perm]).any()
+        _reduce_against(sub, spec.coords, spec.pivots, spec.coords[:, :, perm]).any()
         for perm in gens
     )

@@ -195,12 +195,6 @@ class SmallField:
         group = self.order - 1
         return self.exp[(self.log[a] + self.log[b]) % group]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        group = self.order - 1
-        return self.exp[(-self.log[a]) % group]
-
     def power(self, a: int, s: int) -> int:
         """a^s with the evaluation convention that 0^0 = 1."""
         if a == 0:
@@ -285,11 +279,11 @@ class Subfield:
     """GF(p^r) inside GF(p^k) as numpy tables on element indices.
 
     Index i names ``elements[i]``, the field encodings in ascending order:
-    index 0 is zero and, for r = 1, an index is its value.  ``coords[i]``
-    are the F_p-coordinates of element i over the basis sigma of
-    :meth:`SmallField._coord_matrix`; sigma_a sigma_b = sum_c structure[a,
-    b, c] sigma_c; ``from_coords[sum_j c_j p^j]`` is the index with
-    coordinates c.
+    index 0 is zero, index 1 is one and, for r = 1, an index is its value.
+    ``coords[i]`` are the F_p-coordinates of element i over the basis sigma
+    of :meth:`SmallField._coord_matrix`; sigma_a sigma_b = sum_c
+    structure[a, b, c] sigma_c; ``from_coords[sum_j c_j p^j]`` is the index
+    with coordinates c.
     """
 
     p: int
@@ -301,9 +295,6 @@ class Subfield:
     coords: np.ndarray
     structure: np.ndarray
     from_coords: np.ndarray
-
-    def index(self, encodings) -> np.ndarray:
-        return np.searchsorted(self.elements, encodings)
 
     @classmethod
     def of(cls, fld: SmallField, r: int) -> Subfield:

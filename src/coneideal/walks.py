@@ -108,13 +108,10 @@ class Walk(_WalkFields):
             out.extend((a + i, y) for y in range(c, h + 1))
         return frozenset(out)
 
-    def to_obj(self) -> dict:
-        """JSON-ready form: host [a,b,c,d] plus the corner pair array."""
-        return {"host": list(self.host), "points": [list(q) for q in self.points]}
-
     @cached_property
     def json_text(self) -> str:
-        """The text of ``json.dumps(self.to_obj())``, formatted once per walk."""
+        """The walk as JSON, formatted once per walk: the host [a, b, c, d]
+        and the corner pair array, spaced as ``json.dumps`` spaces them."""
         a, b, c, d = self.host
         points = ", ".join([f"[{x}, {y}]" for x, y in self.points])
         return f'{{"host": [{a}, {b}, {c}, {d}], "points": [{points}]}}'

@@ -18,13 +18,13 @@ of the shell layers, and the per-height point counts
 :func:`layer_counts`; the planar order predicate (:func:`precedes2`) and the
 generic-e, cross-section and rational-anchor forms of the order
 (:func:`precedes_generic`, :func:`section_precedes`,
-:func:`rational_shift_covers`); the corner input of walks
+:func:`rational_shift_covers`); the corner input and output of walks
 (:func:`walk_from_obj`, :func:`walk_from_corners` with its step rules
-:func:`validate_walk`), which decodes and checks emitted lines, and the
-explicit ideal, restriction and shift of a walk (:func:`ideal_of`,
-:func:`restrict`, :func:`shift`), and the points, shift, size and membership
-of rectangles and walks (:func:`rect_points`, :func:`rect_shifted`,
-:func:`walk_size`, :func:`walk_contains`);
+:func:`validate_walk`, which decode and check emitted lines, and the dict
+form :func:`walk_to_obj`), and the explicit ideal, restriction and shift of a
+walk (:func:`ideal_of`, :func:`restrict`, :func:`shift`), and the points,
+shift, size and membership of rectangles and walks (:func:`rect_points`,
+:func:`rect_shifted`, :func:`walk_size`, :func:`walk_contains`);
 :func:`equivalent_transport_conditions`, whose last three conditions are the
 walk-calculus forms checked against the first three on point sets; and for
 the codes the scalar digit-class sums (:func:`digit_class_sums`, referee of
@@ -32,8 +32,9 @@ the codes the scalar digit-class sums (:func:`digit_class_sums`, referee of
 (:func:`code_fingerprint`, :func:`code_summary`), the codeword-level
 invariance check (:func:`verify_invariance_on_words` with :func:`kernel_basis`,
 :func:`word_in_code`), the scalar inverse of the subfield coordinates
-(:func:`from_coordinates`), the scalar row reduction (:func:`scalar_rref`)
-and group order (:func:`group_closure_order`).
+(:func:`from_coordinates`), the scalar field inverse and row reduction
+(:func:`scalar_inv`, :func:`scalar_rref`) and group order
+(:func:`group_closure_order`).
 """
 
 from __future__ import annotations
@@ -681,7 +682,13 @@ def section_precedes(u: Point3, v: Point3, p: int) -> bool:
     return in_slice((u[0] - v[0], u[1] - v[1]), dz, p)
 
 
-# -- corner input, explicit ideals, restriction and shift of walks --
+# -- corner input and output, explicit ideals, restriction and shift of walks --
+
+
+def walk_to_obj(w: Walk) -> dict:
+    """JSON-ready form of a walk: host [a,b,c,d] plus the corner pair array;
+    ``json.dumps`` of it is :attr:`coneideal.walks.Walk.json_text`."""
+    return {"host": list(w.host), "points": [list(q) for q in w.points]}
 
 
 def walk_from_obj(obj: dict, p: int) -> Walk:
@@ -851,6 +858,13 @@ def from_coordinates(fld: SmallField, coords: list[int]) -> int:
     return acc
 
 
+def scalar_inv(fld: SmallField, a: int) -> int:
+    """The inverse of a nonzero element through the log tables."""
+    if a == 0:
+        raise ZeroDivisionError("zero has no inverse")
+    return fld.exp[-fld.log[a] % (fld.order - 1)]
+
+
 def scalar_rref(
     fld: SmallField, rows: list[list[int]]
 ) -> tuple[list[list[int]], list[int]]:
@@ -865,7 +879,7 @@ def scalar_rref(
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = fld.inv(mat[rank][col])
+        inv = scalar_inv(fld, mat[rank][col])
         mat[rank] = [fld.mul(inv, v) for v in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][col]:

@@ -25,7 +25,7 @@ from coneideal.symmetric import (
 from coneideal.walks import empty_walk, full_walk
 
 from conftest import EXAMPLE_DEFINING, EXAMPLE_IDEAL
-from oracle import layer_counts
+from oracle import layer_counts, walk_to_obj
 
 
 def run(capsys, *argv):
@@ -163,7 +163,7 @@ class TestEnumerate:
         walks |= {empty_walk(host, p), full_walk(host, p)}
         assert len(walks) > 50  # 305 at (2,15,1), 55 at (2,9,3)
         for w in walks:
-            assert w.json_text == json.dumps(w.to_obj())
+            assert w.json_text == json.dumps(walk_to_obj(w))
 
     def test_count_only_emit_to_file(self, capsys, tmp_path):
         target = tmp_path / "count.txt"
@@ -285,7 +285,7 @@ def test_lines_equal_encoded_records(capsys, p, m, r, shards, fmt):
 
     expected = []
     for walks in search(params, mode="stream", shards=shards):
-        rec = {"p": p, "m": m, "r": r, key: [w.to_obj() for w in walks]}
+        rec = {"p": p, "m": m, "r": r, key: [walk_to_obj(w) for w in walks]}
         if fmt == "points":
             rec["points"] = sorted(to_points(walks))
         expected.append(json.dumps(rec))

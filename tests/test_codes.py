@@ -38,6 +38,7 @@ from oracle import (
     ideal_3d,
     kernel_basis,
     rotation_invariant_3d,
+    scalar_inv,
     scalar_rref,
     verify_invariance_on_words,
     word_in_code,
@@ -65,15 +66,16 @@ def spec_of_exponents(params, defining):
     """The code cut by the power sums of any exponent list, built the way
     ``build_code`` builds the code of an ideal's defining set."""
     fld = SmallField(params.p, params.m)
+    sub = fld.subfield(params.r)
     rows = [_power_row(fld, s) for s in defining]
-    expanded = _expand_rows(fld, rows, params.r)
-    rref, pivots = _rref(fld, expanded, params.r)
+    mat, pivots = _rref(sub, _expand_rows(fld, rows, params.r))
     return CodeSpec(
         params=params,
         ideal=frozenset(),
         defining_count=len(defining),
         fld=fld,
-        rref=rref,
+        rref=sub.elements[mat],
+        coords=sub.coords.T[:, mat],
         pivots=pivots,
     )
 
@@ -304,7 +306,7 @@ class TestSmallField:
             assert fld.mul(a, 1) == a
             assert fld.add(a, fld.neg(a)) == 0
             if a:
-                assert fld.mul(a, fld.inv(a)) == 1
+                assert fld.mul(a, scalar_inv(fld, a)) == 1
         for a in els[:8]:
             for b in els[:8]:
                 assert fld.add(a, b) == fld.add(b, a)
@@ -336,13 +338,16 @@ class TestSmallField:
         fp = fld.fp_coordinates(fld.elements_in_order(), r)
         assert fp.shape == (fld.order, k)
         assert len({tuple(row) for row in fp.tolist()}) == fld.order
+        # in_sum_zero_space reads the all-ones row as index 1
+        assert fld.subfield(r).elements[1] == 1
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
             SmallField(2, 25)
 
     def test_subfield_table_cap(self):
-        assert len(SmallField(13, 3).subfield(3).elements) == 13**3
+        sub = SmallField(13, 3).subfield(3)
+        assert len(sub.elements) == 13**3 and sub.elements[1] == 1
         with pytest.raises(CapExceeded, match="^GF\\(17\\^3\\) tables exceed"):
             SmallField(17, 3).subfield(3)
 
@@ -399,6 +404,23 @@ class TestBuildCode:
             assert word_in_code(spec, w)
 
 
+class TestCodeCoordinates:
+    @pytest.mark.parametrize("p,m,r", [(2, 6, 1), (2, 6, 3), (3, 3, 3), (5, 3, 1)])
+    def test_coords_read_off_rref(self, p, m, r):
+        # the coordinates built once from the subfield indices equal those
+        # read off the encodings by value
+        params = Params(p, m, r)
+        ideals = r1_ideals(params) if r == 1 else r3_ideals(params)
+        sub = SmallField(p, m).subfield(r)
+        assert sub.elements[1] == 1
+        for ideal in ideals:
+            spec = build_code(ideal, params)
+            index = np.searchsorted(sub.elements, spec.rref)
+            assert np.array_equal(sub.elements[index], spec.rref)
+            assert spec.coords.shape == (r, len(spec.pivots), p**m)
+            assert np.array_equal(spec.coords, sub.coords.T[:, index]), sorted(ideal)
+
+
 class TestScalarReferee:
     @pytest.mark.parametrize(
         "p,m,r,sample",
@@ -433,6 +455,7 @@ class TestScalarReferee:
         # the one float64 product against the r^2 integer products it
         # replaced, on random F_p-coordinates
         sub = SmallField(p, m).subfield(r)
+        assert sub.elements[1] == 1
         q = p**m
         rng = np.random.default_rng(p)
         rref = rng.integers(0, p, size=(r, 48, q))

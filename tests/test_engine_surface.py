@@ -1,19 +1,23 @@
 """The package holds only what the program runs.
 
-Every top-level def or class of every package module other than
-``__init__.py`` must be reached from live code: the module-level code of the
-package modules (the CLI's ``__main__`` call among it), the benchmark's span
-targets in ``perfbench/spans.py``, or an import in ``perfbench/``.  A def is
-live only when something live refers to it, so a helper that only another
-dead helper calls is reported too.  The re-exports of ``__init__.py`` make
-nothing live.  Referees that only the tests use belong in
-``tests/oracle.py``, outside the package.
+Every top-level def or class of every package module must be reached from
+live code: the module-level code of the package modules (the CLI's
+``__main__`` call among it), the benchmark's span targets in
+``perfbench/spans.py``, or an import in ``perfbench/``.  A def is live only
+when something live refers to it, so a helper that only another dead helper
+calls is reported too.  ``__init__.py`` holds the package docstring and
+version and imports nothing, so every name has one import path, its module.
+Referees that only the tests use belong in ``tests/oracle.py``, outside the
+package.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,14 +25,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "coneideal"
 PERFBENCH = ROOT / "perfbench"
-NOT_USERS = ("__init__",)
 
 
 def _package_sources() -> dict[str, str]:
     return {
         path.stem: path.read_text(encoding="utf-8")
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.stem not in NOT_USERS
     }
 
 
@@ -133,6 +135,22 @@ def test_guard_reports_a_referee_put_back():
     sources = _package_sources()
     sources["walks"] += "\n\n" + ast.get_source_segment(oracle_text, restrict) + "\n"
     assert unreachable(sources, _roots()) == ["walks.restrict"]
+
+
+def test_package_root_loads_no_module():
+    """A fresh ``import coneideal`` loads none of the engine, walk, field
+    and code modules: the root re-exports nothing."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    ))
+    code = "import sys, coneideal; print(*sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    modules = ("slicing", "symmetric", "walks", "codes", "fields")
+    loaded = [m for m in modules if f"coneideal.{m}" in done.stdout.split()]
+    assert not loaded, loaded
 
 
 def _imports_oracle(text: str) -> bool:

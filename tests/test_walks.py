@@ -49,6 +49,7 @@ from oracle import (
     walk_from_corners,
     walk_from_obj,
     walk_size,
+    walk_to_obj,
 )
 
 FIG_WALK = ((0, 9), (1, 9), (1, 7), (3, 7), (3, 3), (5, 3), (5, 0))
@@ -223,10 +224,10 @@ class TestBoundaryBijection:
 
     def test_serialization_round_trip(self):
         w = staircase_walk()
-        assert walk_from_obj(w.to_obj(), 2) == w
+        assert walk_from_obj(walk_to_obj(w), 2) == w
         e = empty_walk(Rect(0, 1, 0, 1), 3)
-        assert walk_from_obj(e.to_obj(), 3) == e
-        assert e.to_obj()["points"] == []
+        assert walk_from_obj(walk_to_obj(e), 3) == e
+        assert walk_to_obj(e)["points"] == []
 
 
 class TestLattice:
