@@ -192,18 +192,15 @@ def cmd_defining_set(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _params(args)
+    # both caps, before an ideal is read or listed
+    shared_field(params.p, params.m, cap=args.cap_field).subfield(params.r)
+    gens = agl_generators(params, cap_field=args.cap_field)
     if args.ideal:
         ideals = [_load_invariant_ideal(args.ideal, params)]
     else:
         search, _, points_of = _engine(params)
         layer = cache(points_of)  # each distinct (index, walk) layer built once
         ideals = (stack_points(ws, layer) for ws in search(params, mode="stream"))
-    try:
-        # both caps, before the first ideal is listed
-        shared_field(params.p, params.m, cap=args.cap_field).subfield(params.r)
-        gens = agl_generators(params, cap_field=args.cap_field)
-    except CapExceeded as exc:
-        return _fail(EXIT_CAP, str(exc))
     failures = checked = 0
     for idx, ideal in enumerate(ideals):
         checked += 1
@@ -213,8 +210,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"{idx}\tFAIL\tnot an invariant ideal: {exc}")
             failures += 1
             continue
-        except CapExceeded as exc:
-            return _fail(EXIT_CAP, str(exc))
         invariant = verify_invariance(spec, gens)
         proper = in_sum_zero_space(spec)
         dichotomy = proper == (len(ideal) > 0)

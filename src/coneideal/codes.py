@@ -115,21 +115,20 @@ def is_invariant_ideal(ideal: frozenset[Point3], params: Params) -> bool:
 
 @dataclass
 class CodeSpec:
-    """A built code: defining data plus the reduced constraint system, whose
-    ``rref`` holds field encodings of GF(p^r) elements (rank x p^m) and
-    ``coords`` their F_p-coordinates over the subfield basis (r x rank x p^m)."""
+    """A built code: defining data plus the reduced constraint system over
+    the coefficient field ``sub``, whose rows are held as ``coords``, their
+    F_p-coordinates over the subfield basis (r x rank x p^m)."""
 
     params: Params
     ideal: frozenset[Point3]
     defining_count: int
-    fld: SmallField = field(repr=False)
-    rref: np.ndarray = field(repr=False)
+    sub: Subfield = field(repr=False)
     coords: np.ndarray = field(repr=False)
     pivots: list[int] = field(repr=False)
 
     @property
     def dimension(self) -> int:
-        return self.fld.order - len(self.pivots)
+        return self.coords.shape[2] - len(self.pivots)
 
 
 def _orbit_leaders(defining: Sequence[int], params: Params) -> np.ndarray:
@@ -217,7 +216,7 @@ def build_code(
     if reason is not None:
         raise NotInvariant(reason)
     fld = shared_field(params.p, params.m, cap=cap_field)
-    defining = preimage_list(ideal, params, cap=max(fld.order, DEFAULT_SCAN_CAP))
+    defining = preimage_list(ideal, params, cap=fld.order)
     rows = [_power_row(fld, s) for s in _orbit_leaders(defining, params)]
     sub = fld.subfield(params.r)
     mat, pivots = _rref(sub, _expand_rows(fld, rows, params.r))
@@ -225,8 +224,7 @@ def build_code(
         params=params,
         ideal=ideal,
         defining_count=preimage_count(ideal, params),
-        fld=fld,
-        rref=sub.elements[mat],
+        sub=sub,
         coords=sub.coords.T[:, mat],
         pivots=pivots,
     )
@@ -236,9 +234,8 @@ def in_sum_zero_space(spec: CodeSpec) -> bool:
     """Whether every codeword has coordinate sum zero: the all-ones row lies
     in the row space of the constraints.  The element 1 is index 1 of
     every subfield."""
-    sub = spec.fld.subfield(spec.params.r)
-    ones = sub.coords.T[:, np.ones((1, spec.fld.order), dtype=np.int64)]
-    return not _reduce_against(sub, spec.coords, spec.pivots, ones).any()
+    ones = spec.sub.coords.T[:, np.ones((1, spec.coords.shape[2]), dtype=np.int64)]
+    return not _reduce_against(spec.sub, spec.coords, spec.pivots, ones).any()
 
 
 # -- the affine group action --
@@ -277,15 +274,14 @@ def agl_generators(
 def verify_invariance(spec: CodeSpec, gens: list[tuple[int, ...]]) -> bool:
     """Whether the code is stable under every generator permutation.
 
-    The code is the orthogonal complement of the row space R of
-    ``spec.rref``.  Permutation matrices are orthogonal, so a permutation
-    maps the code onto itself exactly when it maps R onto itself.  The rows
-    of ``rref`` are a basis of R, so it suffices that X, the echelon form
-    with its columns permuted, lies in R: one matrix identity per generator,
-    X == X[:, pivots] . rref over GF(p^r) (:func:`_reduce_against`).
+    The code is the orthogonal complement of the row space R of the
+    echelon form E held in ``spec.coords``.  Permutation matrices are
+    orthogonal, so a permutation maps the code onto itself exactly when it
+    maps R onto itself.  The rows of E are a basis of R, so it suffices that
+    X, E with its columns permuted, lies in R: one matrix identity per
+    generator, X == X[:, pivots] . E over GF(p^r) (:func:`_reduce_against`).
     """
-    sub = spec.fld.subfield(spec.params.r)
     return not any(
-        _reduce_against(sub, spec.coords, spec.pivots, spec.coords[:, :, perm]).any()
-        for perm in gens
+        _reduce_against(spec.sub, spec.coords, spec.pivots, spec.coords[:, :, g]).any()
+        for g in gens
     )

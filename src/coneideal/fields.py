@@ -117,15 +117,11 @@ class SmallField:
 
     p: int
     k: int
-    cap: int = DEFAULT_FIELD_CAP
     modulus: tuple[int, ...] = field(init=False)
     exp: list[int] = field(init=False, repr=False)
     log: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        q = self.p**self.k
-        if q > self.cap:
-            raise CapExceeded(f"field size {q} exceeds cap {self.cap}")
         self.modulus = least_irreducible(self.p, self.k)
         self._mod_poly = list(self.modulus) + [1]
         self._weights = [self.p**i for i in range(self.k)]
@@ -263,7 +259,7 @@ class SmallField:
 
 @lru_cache(maxsize=None)
 def _shared_field(p: int, k: int) -> SmallField:
-    return SmallField(p, k, cap=p**k)
+    return SmallField(p, k)
 
 
 def shared_field(p: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> SmallField:

@@ -28,7 +28,8 @@ shift, size and membership of rectangles and walks (:func:`rect_points`,
 :func:`equivalent_transport_conditions`, whose last three conditions are the
 walk-calculus forms checked against the first three on point sets; and for
 the codes the scalar digit-class sums (:func:`digit_class_sums`, referee of
-:func:`coneideal.codes.preimage_list`), the digests of a built code
+:func:`coneideal.codes.preimage_list`), the field encodings of a built
+code's rows (:func:`row_encodings`), the digests of a built code
 (:func:`code_fingerprint`, :func:`code_summary`), the codeword-level
 invariance check (:func:`verify_invariance_on_words` with :func:`kernel_basis`,
 :func:`word_in_code`), the scalar inverse of the subfield coordinates
@@ -44,6 +45,8 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Literal
 
+import numpy as np
+
 from coneideal.codes import CodeSpec
 from coneideal.errors import (
     CapExceeded,
@@ -53,7 +56,7 @@ from coneideal.errors import (
     InvalidWalk,
     OutOfRange,
 )
-from coneideal.fields import SmallField
+from coneideal.fields import SmallField, shared_field
 from coneideal.order import Params, Point2, Point3, precedes3, rotate
 from coneideal.slicing import (
     LayerSequence,
@@ -821,8 +824,16 @@ def equivalent_transport_conditions(
 # -- the codes: digit classes, digests and codeword-level checks --
 
 
+def row_encodings(spec: CodeSpec) -> np.ndarray:
+    """The field encodings of the reduced rows (rank x p^m), read off their
+    F_p-coordinates ``spec.coords`` through the subfield tables."""
+    sub = spec.sub
+    weights = sub.p ** np.arange(len(spec.coords))
+    return sub.elements[sub.from_coords[np.tensordot(weights, spec.coords, axes=1)]]
+
+
 def code_fingerprint(spec: CodeSpec) -> tuple:
-    return tuple(map(tuple, spec.rref.tolist()))
+    return tuple(map(tuple, row_encodings(spec).tolist()))
 
 
 def code_summary(spec: CodeSpec) -> dict:
@@ -894,7 +905,7 @@ def scalar_rref(
 
 def kernel_basis(spec: CodeSpec) -> list[list[int]]:
     """Basis codewords of the kernel over GF(p^r), from the echelon form."""
-    fld = spec.fld
+    fld = shared_field(spec.params.p, spec.params.m)
     ncols = fld.order
     pivot_set = set(spec.pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -902,7 +913,7 @@ def kernel_basis(spec: CodeSpec) -> list[list[int]]:
     for f in free:
         vec = [0] * ncols
         vec[f] = 1
-        for row, col in zip(spec.rref.tolist(), spec.pivots):
+        for row, col in zip(row_encodings(spec).tolist(), spec.pivots):
             vec[col] = fld.neg(row[f])
         basis.append(vec)
     return basis
@@ -910,8 +921,8 @@ def kernel_basis(spec: CodeSpec) -> list[list[int]]:
 
 def word_in_code(spec: CodeSpec, word: list[int]) -> bool:
     """Evaluate every expanded constraint on an explicit word."""
-    fld = spec.fld
-    for row in spec.rref.tolist():
+    fld = shared_field(spec.params.p, spec.params.m)
+    for row in row_encodings(spec).tolist():
         acc = 0
         for a, b in zip(row, word):
             if a and b:
@@ -946,7 +957,7 @@ def verify_invariance_on_words(
 ) -> bool:
     """Codeword-level variant: permute each kernel basis word and re-check
     membership by constraint evaluation (small fields only)."""
-    if spec.fld.order > 2**10:
+    if spec.params.p**spec.params.m > 2**10:
         raise CapExceeded("codeword-level check capped to small fields")
     basis = kernel_basis(spec)
     for perm in gens:

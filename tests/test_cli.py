@@ -481,6 +481,21 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert "tables exceed" in err
 
+    def test_field_cap_exit_3_before_reading_ideal(self, capsys, monkeypatch, tmp_path):
+        # the n = 210 box: reading and checking an ideal there peaks near
+        # 0.5 GB, so both caps come first and the file is never read
+        def unread(path, params):
+            raise AssertionError("ideal read before the caps")
+
+        monkeypatch.setattr(cli, "_load_invariant_ideal", unread)
+        path = tmp_path / "origin.json"
+        path.write_text(json.dumps({"points": [[0, 0, 0]]}))
+        code, out, err = run(
+            capsys, "verify", "--p", "211", "--m", "3", "--r", "1", "--ideal", str(path)
+        )
+        assert (code, out) == (3, "")
+        assert err.strip() == "field size 9393931 exceeds cap 1048576"
+
     @pytest.mark.parametrize(
         "p,r,sha",
         [

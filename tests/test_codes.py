@@ -24,7 +24,7 @@ from coneideal.codes import (
     violated_condition,
 )
 from coneideal.errors import CapExceeded, NotInvariant, OutOfRange
-from coneideal.fields import SmallField, least_irreducible
+from coneideal.fields import SmallField, least_irreducible, shared_field
 from coneideal.order import Params, precedes3, rotate
 from coneideal.slicing import enumerate_all_r3, layers_to_points
 from coneideal.symmetric import SymLayerSequence, assembled_points, enumerate_all_r1
@@ -38,6 +38,7 @@ from oracle import (
     ideal_3d,
     kernel_basis,
     rotation_invariant_3d,
+    row_encodings,
     scalar_inv,
     scalar_rref,
     verify_invariance_on_words,
@@ -73,8 +74,7 @@ def spec_of_exponents(params, defining):
         params=params,
         ideal=frozenset(),
         defining_count=len(defining),
-        fld=fld,
-        rref=sub.elements[mat],
+        sub=sub,
         coords=sub.coords.T[:, mat],
         pivots=pivots,
     )
@@ -343,7 +343,7 @@ class TestSmallField:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            SmallField(2, 25)
+            shared_field(2, 25)
 
     def test_subfield_table_cap(self):
         sub = SmallField(13, 3).subfield(3)
@@ -407,16 +407,17 @@ class TestBuildCode:
 class TestCodeCoordinates:
     @pytest.mark.parametrize("p,m,r", [(2, 6, 1), (2, 6, 3), (3, 3, 3), (5, 3, 1)])
     def test_coords_read_off_rref(self, p, m, r):
-        # the coordinates built once from the subfield indices equal those
-        # read off the encodings by value
+        # the encodings of the reduced rows map back, by value, to the
+        # coordinates they were read off
         params = Params(p, m, r)
         ideals = r1_ideals(params) if r == 1 else r3_ideals(params)
         sub = SmallField(p, m).subfield(r)
         assert sub.elements[1] == 1
         for ideal in ideals:
             spec = build_code(ideal, params)
-            index = np.searchsorted(sub.elements, spec.rref)
-            assert np.array_equal(sub.elements[index], spec.rref)
+            encodings = row_encodings(spec)
+            index = np.searchsorted(sub.elements, encodings)
+            assert np.array_equal(sub.elements[index], encodings)
             assert spec.coords.shape == (r, len(spec.pivots), p**m)
             assert np.array_equal(spec.coords, sub.coords.T[:, index]), sorted(ideal)
 
@@ -446,7 +447,7 @@ class TestScalarReferee:
             spec = build_code(ideal, params)
             rows = scalar_constraint_rows(fld, params.r, preimage_list(ideal, params))
             ref, pivots = scalar_rref(fld, rows)
-            assert spec.rref.tolist() == ref, sorted(ideal)
+            assert row_encodings(spec).tolist() == ref, sorted(ideal)
             assert spec.pivots == pivots
             assert spec.dimension == params.p**params.m - len(pivots)
 
