@@ -88,15 +88,19 @@ def violated_condition(ideal: frozenset[Point3], params: Params) -> Optional[str
         for u in ideal:
             if rotate(u) not in ideal:
                 return f"rotation image of {u} missing"
-    # w precedes u when w . a <= u . a for each column a of ``cone``; the
-    # missing points meet the members, in order, in blocks of about 2^16 pairs
+    # w precedes u when w . a <= u . a for each column a of ``cone``.  The
+    # columns add up to (1 + p + p^2)(1, 1, 1), so then sum(w) <= sum(u): only
+    # missing points with sums up to the largest member sum meet the members,
+    # in scan order, in blocks of about 2^16 pairs
     us = list(ideal)
     pts = np.array(us, dtype=int).reshape(-1, 3)
     cone = np.array([[1, p, p * p], [p * p, 1, p], [p, p * p, 1]]).T
     u_dots = pts @ cone
-    member = np.zeros((n + 1,) * 3, dtype=bool)
+    top = max(map(sum, us), default=-1)
+    member = np.zeros((min(n, top) + 1,) * 3, dtype=bool)
     member[tuple(pts.T)] = True
     missing = np.argwhere(~member)
+    missing = missing[missing.sum(axis=1) <= top]
     rows = 2**16 // (len(us) + 1) + 1
     for start in range(0, len(missing), rows):
         ws = missing[start : start + rows]

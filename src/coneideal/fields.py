@@ -1,12 +1,15 @@
 """Small finite fields with log tables and subfield coordinate maps.
 
 Elements of GF(p^k) are integers 0..p^k-1 encoding coefficient vectors in
-base p over the power basis of x modulo a fixed monic irreducible.  The
-modulus is the lexicographically least irreducible (smallest integer
-encoding of its non-leading coefficients), so all tables are reproducible
-byte for byte.  Multiplication goes through exp/log tables of the least
-primitive element.  Whole-row arithmetic in a subfield GF(p^r) goes through
-the numpy tables of :class:`Subfield`.
+base p over the power basis of x modulo the lexicographically least monic
+irreducible (smallest integer encoding of its non-leading coefficients), so
+all tables are reproducible byte for byte.  Multiplication by an element is
+an F_p-linear map of digit vectors, and each field is built from one: the
+companion matrix of its modulus.  Ben-Or's irreducibility test reads its
+powers, and the exp table of the least primitive element is filled by
+doubling.  Multiplication goes through exp/log tables, and whole-row
+arithmetic in a subfield GF(p^r) through the numpy tables of
+:class:`Subfield`.
 """
 
 from __future__ import annotations
@@ -22,40 +25,21 @@ DEFAULT_FIELD_CAP = 1 << 20
 TABLE_CAP = 1 << 24  # entries of one Q x Q subfield table (128 MB of int64)
 
 
-def _poly_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def _companion(coeffs: tuple[int, ...], p: int) -> np.ndarray:
+    """Multiplication by x on digit vectors, modulo x^k + sum_i coeffs[i] x^i."""
+    x = np.eye(len(coeffs), k=-1, dtype=np.int64)
+    x[:, -1] = [-c % p for c in coeffs]
+    return x
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_mod(out, mod, p)
-
-
-def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
-    """Remainder of a modulo the monic polynomial mod over GF(p)."""
-    a = _poly_trim(a[:])
-    while len(a) >= len(mod):
-        shift, coef = len(a) - len(mod), a[-1]
-        for i, cm in enumerate(mod):
-            a[shift + i] = (a[shift + i] - coef * cm) % p
-        _poly_trim(a)
-    return a
-
-
-def _is_irreducible(mod: list[int], p: int) -> bool:
-    """No monic factor of degree 1..k/2 divides the monic mod of degree k."""
-    k = len(mod) - 1
-    return all(
-        _poly_mod(mod, _digits(enc, p, d) + [1], p)
-        for d in range(1, k // 2 + 1)
-        for enc in range(p**d)
-    )
+def _mat_pow(mat: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.eye(len(mat), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ mat % p
+        mat = mat @ mat % p
+        e >>= 1
+    return out
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -90,25 +74,16 @@ def least_irreducible(p: int, k: int) -> tuple[int, ...]:
     every serialized matrix and codeword.
     """
     for enc in range(p**k):
-        coeffs = _digits(enc, p, k)
-        if _is_irreducible(coeffs + [1], p):
-            return tuple(coeffs)
+        coeffs = tuple(enc // p**i % p for i in range(k))
+        # Ben-Or: irreducible exactly when gcd(f, x^(p^d) - x) = 1, that is
+        # X^(p^d) - X is invertible for the companion matrix X, for d <= k/2
+        x = _companion(coeffs, p)
+        if all(
+            _inverse_mod_p(_mat_pow(x, p**d, p) - x, p) is not None
+            for d in range(1, k // 2 + 1)
+        ):
+            return coeffs
     raise OutOfRange(f"no irreducible of degree {k} over GF({p})")  # pragma: no cover
-
-
-def _digits(value: int, p: int, k: int) -> list[int]:
-    out = []
-    for _ in range(k):
-        out.append(value % p)
-        value //= p
-    return out
-
-
-def _undigits(ds: list[int], p: int) -> int:
-    v = 0
-    for c in reversed(ds):
-        v = v * p + c
-    return v
 
 
 @dataclass
@@ -122,10 +97,35 @@ class SmallField:
     log: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.modulus = least_irreducible(self.p, self.k)
-        self._mod_poly = list(self.modulus) + [1]
-        self._weights = [self.p**i for i in range(self.k)]
-        self._build_tables()
+        p, q = self.p, self.order
+        self.modulus = least_irreducible(p, self.k)
+        self._x = _companion(self.modulus, p)
+        self._weights = [p**i for i in range(self.k)]
+        group = q - 1
+        factors = _prime_factors(group)
+        one = np.eye(self.k, dtype=np.int64)
+        gamma = next(  # the least primitive element: q >= 2 always has one
+            g
+            for g in range(1, q)
+            if all(
+                (_mat_pow(self._times(g), group // f, p) != one).any() for f in factors
+            )
+        )
+        # the digits of gamma^(s+j) are the matrix of gamma^w times those of
+        # gamma^(s-w+j); w doubles with s up to blocks of 2^16 powers
+        self.exp_array = np.ones(group, dtype=np.int64)
+        step, w, s = self._times(gamma), 1, 1
+        while s < group:
+            n = min(w, group - s)
+            digits = self.exp_array[s - w : s - w + n, None] // self._weights % p
+            self.exp_array[s : s + n] = digits @ step.T % p @ self._weights
+            s += n
+            if w < 1 << 16:
+                step, w = step @ step % p, 2 * w
+        self.exp = self.exp_array.tolist()
+        log = np.full(q, -1, dtype=np.int64)
+        log[self.exp_array] = np.arange(group)
+        self.log = log.tolist()
         # r -> (inverse basis matrix, F_p-basis of GF(p^r))
         self._coord_cache: dict[int, tuple[np.ndarray, list[int]]] = {}
         self._subfield_cache: dict[int, Subfield] = {}
@@ -134,43 +134,12 @@ class SmallField:
     def order(self) -> int:
         return self.p**self.k
 
-    # -- raw polynomial ops (used only while bootstrapping the tables) --
-    def _raw_mul(self, a: int, b: int) -> int:
-        pa = _poly_trim(_digits(a, self.p, self.k))
-        pb = _poly_trim(_digits(b, self.p, self.k))
-        if not pa or not pb:
-            return 0
-        prod = _poly_mulmod(pa, pb, self._mod_poly, self.p)
-        return _undigits(prod + [0] * (self.k - len(prod)), self.p)
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return r
-
-    def _build_tables(self) -> None:
-        q = self.order
-        group = q - 1
-        factors = _prime_factors(group) if group > 1 else []
-        gamma = next(  # the least primitive element: q >= 2 always has one
-            g
-            for g in range(1, q)
-            if all(self._raw_pow(g, group // f) != 1 for f in factors)
-        )
-        acc = 1
-        exp = []
-        for _ in range(group):
-            exp.append(acc)
-            acc = self._raw_mul(acc, gamma)
-        self.exp = exp or [1]
-        self.log = [-1] * q
-        for j, v in enumerate(self.exp):
-            self.log[v] = j
-        self.exp_array = np.array(self.exp, dtype=np.int64)
+    def _times(self, c: int) -> np.ndarray:
+        """Multiplication by c: column t holds the digits of c x^t."""
+        cols = [np.array(c) // self._weights % self.p]
+        for _ in range(self.k - 1):
+            cols.append(self._x @ cols[-1] % self.p)
+        return np.stack(cols, axis=1)
 
     # -- arithmetic (digit by digit: the i-th digit of a is a // p^i mod p) --
     def add(self, a: int, b: int) -> int:
@@ -227,9 +196,9 @@ class SmallField:
             self.subfield_elements(r)  # raises unless r | k
             step = (self.order - 1) // (p**r - 1)
             sigma = [self.exp[j * step] for j in range(r)]
-            basis = [self.mul(s, p**t) for t in range(k // r) for s in sigma]
-            cols = np.array([_digits(b, p, k) for b in basis])
-            cached = (_inverse_mod_p(cols.T, p), sigma)
+            # column r t + j holds the digits of sigma_j x^t
+            basis = np.stack([self._times(s)[:, : k // r] for s in sigma], axis=2)
+            cached = (_inverse_mod_p(basis.reshape(k, k), p), sigma)
             self._coord_cache[r] = cached
         return cached
 
@@ -329,12 +298,14 @@ class Subfield:
         )
 
 
-def _inverse_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of an invertible square matrix over GF(p) (Gauss-Jordan)."""
+def _inverse_mod_p(mat: np.ndarray, p: int) -> np.ndarray | None:
+    """Inverse of a square matrix over GF(p) (Gauss-Jordan); None if singular."""
     k = len(mat)
     aug = np.hstack([mat % p, np.eye(k, dtype=np.int64)])
     for col in range(k):
-        piv = col + np.flatnonzero(aug[col:, col])[0]
+        piv = col + np.argmax(aug[col:, col] != 0)
+        if aug[piv, col] == 0:
+            return None
         aug[[col, piv]] = aug[[piv, col]]
         aug[col] = aug[col] * pow(int(aug[col, col]), p - 2, p) % p
         factor = aug[:, col].copy()

@@ -33,7 +33,9 @@ code's rows (:func:`row_encodings`), the digests of a built code
 (:func:`code_fingerprint`, :func:`code_summary`), the codeword-level
 invariance check (:func:`verify_invariance_on_words` with :func:`kernel_basis`,
 :func:`word_in_code`), the scalar inverse of the subfield coordinates
-(:func:`from_coordinates`), the scalar field inverse and row reduction
+(:func:`from_coordinates`), the schoolbook product of digit polynomials
+that referees the field tables (:func:`poly_product`), the scalar field
+inverse and row reduction
 (:func:`scalar_inv`, :func:`scalar_rref`) and group order
 (:func:`group_closure_order`).
 """
@@ -867,6 +869,24 @@ def from_coordinates(fld: SmallField, coords: list[int]) -> int:
     for t, c in enumerate(coords):
         acc = fld.add(acc, fld.mul(c, fld.p**t))
     return acc
+
+
+def poly_product(fld: SmallField, a: int, b: int) -> int:
+    """a b in GF(p^k) as the schoolbook product of the digit polynomials,
+    reduced modulo x^k + sum_i fld.modulus[i] x^i one leading term at a
+    time: the referee of the field's exp table."""
+    p, k = fld.p, fld.k
+    da = [a // p**i % p for i in range(k)]
+    db = [b // p**i % p for i in range(k)]
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for top in range(2 * k - 2, k - 1, -1):
+        lead = prod.pop() % p
+        for i, c in enumerate(fld.modulus):
+            prod[top - k + i] -= lead * c
+    return sum(c % p * p**i for i, c in enumerate(prod))
 
 
 def scalar_inv(fld: SmallField, a: int) -> int:

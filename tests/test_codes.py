@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from coneideal.codes import (
     violated_condition,
 )
 from coneideal.errors import CapExceeded, NotInvariant, OutOfRange
-from coneideal.fields import SmallField, least_irreducible, shared_field
+from coneideal.fields import SmallField, _inverse_mod_p, least_irreducible, shared_field
 from coneideal.order import Params, precedes3, rotate
 from coneideal.slicing import enumerate_all_r3, layers_to_points
 from coneideal.symmetric import SymLayerSequence, assembled_points, enumerate_all_r1
@@ -37,6 +38,7 @@ from oracle import (
     group_closure_order,
     ideal_3d,
     kernel_basis,
+    poly_product,
     rotation_invariant_3d,
     row_encodings,
     scalar_inv,
@@ -244,13 +246,14 @@ class TestViolatedCondition:
         assert violated_condition(ideal, params) == f"{message} but missing"
 
     def test_blocks_keep_scan_order(self):
-        # 265 members at n = 9: blocks of 247 missing points, and the three
-        # removals below are first found in the first, second and third block
+        # 417 members at n = 9: blocks of 158 of the missing points with
+        # coordinate sum at most 18, and the three removals below are first
+        # found in the first, second and third block
         params = Params(p=2, m=27, r=3)
         box = list(itertools.product(range(params.n + 1), repeat=3))
-        gens = [(9, 3, 0), (2, 9, 1), (4, 4, 4), (0, 1, 9)]
+        gens = [(9, 9, 0), (2, 9, 1), (4, 4, 4), (0, 1, 9)]
         ideal = frozenset(w for w in box if any(precedes3(w, g, 2) for g in gens))
-        assert len(ideal) == 265 and violated_condition(ideal, params) is None
+        assert len(ideal) == 417 and violated_condition(ideal, params) is None
         for u in [(2, 7, 1), (5, 2, 1), (8, 1, 0)]:
             s = ideal - {u}
             reason = violated_condition(s, params)
@@ -259,6 +262,17 @@ class TestViolatedCondition:
 
     def test_empty_set_is_an_ideal(self):
         assert violated_condition(frozenset(), Params(2, 9, 3)) is None
+
+    def test_box_bounded_by_largest_member_sum(self):
+        # only [0, top]^3 is built, top the largest member sum, not the
+        # (n + 1)^3 box (n = 210)
+        tracemalloc.start()
+        try:
+            assert violated_condition({(0, 0, 0)}, Params(211, 3, 1)) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSmallField:
@@ -280,16 +294,53 @@ class TestSmallField:
                 coeffs = least_irreducible(p, k)
                 assert sum(c * p**i for i, c in enumerate(coeffs)) == enc, (p, k)
 
-        # p = 7, k <= 3 independently: every monic of degree 1 is
-        # irreducible, one of degree 2 or 3 exactly when it has no root
-        def irreducible(enc, k):
-            coeffs = [enc // 7**i % 7 for i in range(k)] + [1]
+        # k <= 3 independently: every monic of degree 1 is irreducible, one
+        # of degree 2 or 3 exactly when it has no root
+        def irreducible(enc, p, k):
+            coeffs = [enc // p**i % p for i in range(k)] + [1]
             return k == 1 or all(
-                sum(c * x**i for i, c in enumerate(coeffs)) % 7 for x in range(7)
+                sum(c * x**i for i, c in enumerate(coeffs)) % p for x in range(p)
             )
 
-        least = [next(e for e in range(7**k) if irreducible(e, k)) for k in (1, 2, 3)]
-        assert least == expected[7][:3]
+        for p in (2, 3, 5, 7, 11, 13):
+            least = [
+                next(e for e in range(p**k) if irreducible(e, p, k)) for k in (1, 2, 3)
+            ]
+            chosen = [
+                sum(c * p**i for i, c in enumerate(least_irreducible(p, k)))
+                for k in (1, 2, 3)
+            ]
+            assert least == chosen, p
+
+    def test_inverse_mod_p(self):
+        # every 2 x 2 matrix over GF(3) and 3 x 3 matrix over GF(2): None
+        # exactly when the determinant vanishes, the inverse otherwise
+        for p, size in [(3, 2), (2, 3)]:
+            for entries in itertools.product(range(p), repeat=size * size):
+                mat = np.array(entries).reshape(size, size)
+                inv = _inverse_mod_p(mat, p)
+                if round(np.linalg.det(mat)) % p:
+                    assert (mat @ inv % p == np.eye(size)).all()
+                else:
+                    assert inv is None
+
+    @pytest.mark.parametrize(
+        "p,k", [(2, 1), (3, 1), (2, 12), (3, 5), (5, 3), (7, 3), (11, 2), (13, 3)]
+    )
+    def test_exp_table_matches_poly_product(self, p, k):
+        # gamma = exp[1] is the least primitive element; at (2, 12) it is 3,
+        # so x is not primitive there
+        fld = SmallField(p, k)
+        exp, q = fld.exp, fld.order
+        gamma = exp[1 % len(exp)]
+        for j, v in enumerate(exp):
+            assert exp[(j + 1) % len(exp)] == poly_product(fld, v, gamma)
+        assert sorted(exp) == list(range(1, q))
+        for g in range(1, gamma):
+            acc, order = g, 1
+            while acc != 1:
+                acc, order = poly_product(fld, acc, g), order + 1
+            assert order < q - 1, g
 
     def test_degree_one_field(self):
         fld = SmallField(3, 1)
